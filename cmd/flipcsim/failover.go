@@ -2,27 +2,11 @@ package main
 
 import (
 	"fmt"
-	"os"
-	"time"
 
-	"flipc/internal/duralog"
-	"flipc/internal/nameservice"
 	"flipc/internal/registrystore"
-	"flipc/internal/sim"
 	"flipc/internal/simcluster"
-	"flipc/internal/stats"
 	"flipc/internal/topic"
 )
-
-// failoverOpts parameterizes the -failover scenario.
-type failoverOpts struct {
-	nodes   int
-	msgSize int
-	msgs    int           // control publishes per phase
-	gap     time.Duration // publish period (virtual)
-	poll    time.Duration
-	window  int
-}
 
 // runFailover kills the registry mid-traffic and measures the takeover.
 //
@@ -44,335 +28,91 @@ type failoverOpts struct {
 //     accounted (delivered or counted drop) by the conservation law;
 //   - post-failover control p99 stays within 2x the pre-failover
 //     baseline.
-func runFailover(o failoverOpts) error {
-	if o.nodes < 4 {
-		return fmt.Errorf("-failover needs at least 4 nodes (2 registries, 1 publisher, 1+ subscribers)")
-	}
-	scfg := simcluster.Config{
-		Nodes:        o.nodes,
-		MessageSize:  o.msgSize,
-		NumBuffers:   4 * o.window,
-		PollInterval: sim.Time(o.poll.Nanoseconds()),
-	}
-	c, err := simcluster.New(scfg)
+func runFailover(o simOpts) error {
+	k, err := newKit(o, simcluster.Config{NumBuffers: 4 * o.window})
 	if err != nil {
 		return err
 	}
-	defer c.Close()
+	defer k.Close()
 
-	walA, err := os.MkdirTemp("", "flipcsim-rega-")
+	reg, err := k.newRegistryPair("flipcsim-reg-", registrystore.ReplicationTopic, 0, 1)
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(walA)
-	walB, err := os.MkdirTemp("", "flipcsim-regb-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(walB)
-
-	// Primary registry on node 0: durable store, replication feed on the
-	// reserved control-priority topic, fenced at promotion.
-	regA := nameservice.NewTopicRegistry()
-	stA, err := registrystore.Open(walA, regA, registrystore.Options{NoSync: true})
-	if err != nil {
-		return err
-	}
-	mgrA := registrystore.NewManager(regA, stA)
-	dirA := topic.LocalDirectory{R: regA}
-	repPub, err := topic.NewPublisher(c.Domains[0], dirA, topic.PublisherConfig{
-		Topic: registrystore.ReplicationTopic, Class: registrystore.ReplicationClass,
-		Window: o.window, RefreshEvery: 1,
-	})
-	if err != nil {
-		return err
-	}
-	feed := registrystore.NewFeed(repPub, c.Domains[0].MaxPayload())
-	mgrA.AttachFeed(feed)
-	genA := mgrA.Promote()
-
-	// Standby on node 1: subscribes to the replication stream through
-	// the primary, applies records into its own registry and store.
-	regB := nameservice.NewTopicRegistry()
-	stB, err := registrystore.Open(walB, regB, registrystore.Options{NoSync: true})
-	if err != nil {
-		return err
-	}
-	mgrB := registrystore.NewManager(regB, stB)
-	repSub, err := topic.NewSubscriber(c.Domains[1], dirA,
-		registrystore.ReplicationTopic, registrystore.ReplicationClass, o.window, o.window)
-	if err != nil {
-		return err
-	}
-	apply := registrystore.NewApply(repSub, regB, stB)
 
 	// Workload: subscribers on nodes 3..n-1 and a publisher on node 2,
 	// all resolving through a failover directory so a takeover is one
 	// retarget away. Subscriptions land after the standby attached, so
 	// they flow down the stream.
-	fdir := topic.NewFailoverDirectory(dirA)
-	nsubs := o.nodes - 3
+	fdir := topic.NewFailoverDirectory(topic.LocalDirectory{R: reg.regP})
 	var subs []*topicSub
 	for n := 3; n < o.nodes; n++ {
-		s, err := topic.NewSubscriber(c.Domains[n], fdir, "ctl", topic.Control, o.window, o.window)
+		s, err := k.subscribe(n, fdir, "ctl", topic.Control)
 		if err != nil {
 			return err
 		}
-		subs = append(subs, &topicSub{sub: s})
+		subs = append(subs, s)
 	}
-	pub, err := topic.NewPublisher(c.Domains[2], fdir, topic.PublisherConfig{
+	pub, err := topic.NewPublisher(k.Domains[2], fdir, topic.PublisherConfig{
 		Topic: "ctl", Class: topic.Control, Window: o.window, RefreshEvery: 8,
 	})
 	if err != nil {
 		return err
 	}
 
-	// Durable data topic: the payload-loss ledger. A durable publisher
-	// journals every publish; its single subscriber (stable cursor name)
+	// Durable data topic: its single subscriber (stable cursor name)
 	// dies with the primary registry, traffic continues into the log
 	// during the blackout, and a replacement resuming under the same
 	// name must recover every payload by replay — zero loss, exactly
 	// once, with the cursor plane itself surviving the failover.
-	durDir, err := os.MkdirTemp("", "flipcsim-duralog-")
+	dur, err := k.newDurable(fdir, "data", "sim/ledger", 2, 3)
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(durDir)
-	dlog, err := duralog.Open(durDir, duralog.Options{NoSync: true})
-	if err != nil {
+	if err := reg.resync(); err != nil {
 		return err
 	}
-	defer dlog.Close()
-	const durName = "sim/ledger"
-	dsub, err := topic.NewSubscriberDurable(c.Domains[3], fdir, "data", topic.Normal, o.window, o.window, durName)
-	if err != nil {
-		return err
-	}
-	dpub, err := topic.NewPublisher(c.Domains[2], fdir, topic.PublisherConfig{
-		Topic: "data", Class: topic.Normal, Window: o.window, RefreshEvery: 8,
-		Log: dlog, CreditBuffers: 8,
-	})
-	if err != nil {
-		return err
-	}
-
-	// Bootstrap the standby with a full-state resync (the takeover
-	// records enqueued before it subscribed never reached it): sequence
-	// captured before export, so the stream overlap double-applies
-	// idempotently instead of gapping.
-	seqBefore := stA.Seq()
-	if err := apply.Resync(regA.ExportState(), seqBefore); err != nil {
-		return err
-	}
-
-	// Replication pump: the primary's feed and the standby's drain run
-	// on the virtual clock until the kill. Subscribers renew leases on
-	// the same cadence; the active registry sweeps epochs slowly enough
-	// that a renewing subscriber can never expire.
-	poll := sim.Time(o.poll.Nanoseconds())
-	primaryAlive := true
-	durAlive := true
-	durCur := dsub // current durable subscriber incarnation
-	c.Clock.NewTicker(50*poll, func() {
-		dpub.PumpReplay(0)
-		if !primaryAlive {
-			return
-		}
-		mgrA.Heartbeat()
-		if _, err := feed.Pump(); err != nil {
-			fatal(err)
-		}
-		apply.Drain()
-		if apply.NeedResync() {
-			fatal(fmt.Errorf("standby gapped during steady state"))
-		}
-	})
-	c.Clock.NewTicker(200*poll, func() {
-		for _, s := range subs {
-			if err := s.sub.Renew(); err != nil {
-				fatal(err)
-			}
-		}
-		if durAlive {
-			if err := durCur.Renew(); err != nil {
-				fatal(err)
-			}
-		}
-		if primaryAlive {
-			if err := apply.Renew(); err != nil {
-				fatal(err)
-			}
-		}
-	})
-	c.Clock.NewTicker(1000*poll, func() {
-		if primaryAlive {
-			regA.Advance()
-		} else {
-			regB.Advance()
-		}
-	})
-
-	// Latency bookkeeping as in -topics: tags resolve drain times back
-	// to the virtual publish instant.
-	sent := map[int]sim.Time{}
-	nextTag := 0
-	publish := func() {
-		tag := nextTag
-		nextTag++
-		var buf [2]byte
-		buf[0], buf[1] = byte(tag>>8), byte(tag)
-		sent[tag] = c.Clock.Now()
-		if _, err := pub.Publish(buf[:]); err != nil {
-			fatal(err)
-		}
-	}
-	drain := func(s *topicSub) {
-		for {
-			payload, _, ok := s.sub.Receive()
-			if !ok {
-				return
-			}
-			if len(payload) < 2 {
-				continue
-			}
-			tag := int(payload[0])<<8 | int(payload[1])
-			if t0, ok := sent[tag]; ok {
-				s.lat = append(s.lat, c.Clock.Now()-t0)
-			}
-		}
-	}
-	for _, s := range subs {
-		s := s
-		c.Clock.NewTicker(poll, func() { drain(s) })
-	}
-
-	// Durable data stream: tagged payloads, delivery counted per tag
-	// across both subscriber incarnations (the loss ledger).
-	durSeen := map[int]int{}
-	durPublished := 0
-	publishData := func() {
-		tag := durPublished
-		durPublished++
-		var buf [2]byte
-		buf[0], buf[1] = byte(tag>>8), byte(tag)
-		if _, err := dpub.Publish(buf[:]); err != nil {
-			fatal(err)
-		}
-	}
-	c.Clock.NewTicker(poll, func() {
-		if !durAlive {
-			return
-		}
-		for {
-			payload, _, ok := durCur.Receive()
-			if !ok {
-				return
-			}
-			if len(payload) >= 2 {
-				durSeen[int(payload[0])<<8|int(payload[1])]++
-			}
-		}
-	})
-
-	gap := sim.Time(o.gap.Nanoseconds())
-	settle := 1000 * poll
-	balanced := func() bool {
-		var got uint64
-		for _, s := range subs {
-			got += s.sub.Received() + s.sub.Drops()
-		}
-		return got+pub.Dropped() == pub.Published()*uint64(nsubs)
-	}
-	settleUntil := func(deadline sim.Time) {
-		c.Clock.RunUntil(deadline)
-		for i := 0; i < 500 && !balanced(); i++ {
-			deadline += settle
-			c.Clock.RunUntil(deadline)
-		}
-	}
+	k.houseKeep([]*registryPair{reg}, subs, dur)
+	led := newLedger(k.Clock)
+	k.drainEvery(led, subs)
+	k.Clock.NewTicker(k.poll, dur.drain)
+	traffic := func() { led.publish(pub, true); dur.publish() }
+	settled := func() bool { return balanced(pub, subs) }
 
 	// Phase one: traffic against the primary, ctl and durable data on
 	// the same cadence.
-	start := c.Clock.Now() + gap
-	for i := 0; i < o.msgs; i++ {
-		t := start + sim.Time(i)*gap
-		c.Clock.At(t, func() { publish(); publishData() })
-	}
-	settleUntil(start + sim.Time(o.msgs)*gap + settle)
-	before := collectLatencies(subs)
+	_, end := k.phase(traffic)
+	k.settle(end, 500, settled)
+	before, beforeErr := summarize(subs)
 
 	// The durable stream must be fully delivered and fully acked —
 	// cursor at head in the log and registered with the primary — before
 	// the kill, so the replacement's resume point is exact and the
 	// cursor record is in the replication stream the standby applies.
-	durSettled := func() bool {
-		if len(durSeen) != durPublished {
-			return false
-		}
-		cur, ok := dlog.Cursor(durName)
-		if !ok || cur != dlog.Head() {
-			return false
-		}
-		rc, rok := regA.CursorOf("data", durName)
-		return rok && rc == cur
-	}
-	for i := 0; i < 500 && !durSettled(); i++ {
-		c.Clock.RunUntil(c.Clock.Now() + settle)
-	}
-	if !durSettled() {
-		return fmt.Errorf("durable stream never settled before the kill: %d/%d delivered", len(durSeen), durPublished)
+	if !k.waitFor(500, func() bool { return dur.settled(reg.regP) }) {
+		return fmt.Errorf("durable stream never settled before the kill: %d/%d delivered", len(dur.seen), dur.published())
 	}
 
-	// Let the stream fully catch up, then kill the primary cold: the
-	// observer detaches, the feed stops pumping, nobody says goodbye.
-	// The catch-up target is captured once — renewals keep appending to
-	// the log while the clock runs, and chasing a moving head would
-	// never terminate.
-	target := stA.Seq()
-	for i := 0; i < 500 && apply.LastSeq() < target; i++ {
-		c.Clock.RunUntil(c.Clock.Now() + settle)
+	// Let the stream fully catch up, then kill the primary cold. The
+	// catch-up target is captured once — renewals keep appending to the
+	// log while the clock runs, and chasing a moving head would never
+	// terminate.
+	target := reg.stP.Seq()
+	if !k.waitFor(500, func() bool { return reg.apply.LastSeq() >= target }) {
+		return fmt.Errorf("standby never caught up: stream at %d, primary at %d", reg.apply.LastSeq(), target)
 	}
-	if apply.LastSeq() < target {
-		return fmt.Errorf("standby never caught up: stream at %d, primary at %d", apply.LastSeq(), target)
-	}
-	served := regA.ExportState()
-	regA.Observe(nil)
-	primaryAlive = false
 	// The durable subscriber dies with the primary — a compound failure:
 	// no unsubscribe, no farewell ack, the cursor's last registered
 	// position is all that survives.
-	durAlive = false
-	deadDurAddr := durCur.Addr()
-
-	// Takeover: fence strictly above the dead primary, then retarget the
-	// workload at the new registry.
-	mgrB.ObservePeer(apply.PrimaryGen())
-	genB := mgrB.Promote()
-	if genB <= genA {
-		return fmt.Errorf("standby generation %d not above dead primary's %d", genB, genA)
+	deadDurAddr := dur.sub.Addr()
+	dur.sub = nil
+	served, genB := reg.promote()
+	if genB <= reg.genP {
+		return fmt.Errorf("standby generation %d not above dead primary's %d", genB, reg.genP)
 	}
-	fdir.Retarget(topic.LocalDirectory{R: regB})
-
-	// Subscription conservation: everything the primary last served must
-	// exist on the new primary, under a strictly larger topic generation.
-	for _, ts := range served.Topics {
-		snap, ok := regB.Snapshot(ts.Name)
-		if !ok {
-			return fmt.Errorf("topic %q lost in failover", ts.Name)
-		}
-		if snap.Gen <= ts.Gen {
-			return fmt.Errorf("topic %q generation %d not above served %d — stale plans would survive",
-				ts.Name, snap.Gen, ts.Gen)
-		}
-		have := map[uint32]bool{}
-		for _, sub := range snap.Subs {
-			have[uint32(sub.Addr)] = true
-		}
-		for _, sub := range ts.Subs {
-			if !have[uint32(sub.Addr)] {
-				return fmt.Errorf("topic %q lost subscriber %v in failover", ts.Name, sub.Addr)
-			}
-		}
+	fdir.Retarget(topic.LocalDirectory{R: reg.regS})
+	if err := reg.checkServed(served.Topics); err != nil {
+		return err
 	}
 	// Lease re-validation: every subscriber renews against the new
 	// registry through the retargeted directory.
@@ -390,121 +130,74 @@ func runFailover(o failoverOpts) error {
 	if err := fdir.Unsubscribe("data", deadDurAddr); err != nil {
 		return fmt.Errorf("reap dead durable lease: %w", err)
 	}
-	dpub.Evict(deadDurAddr)
-	start = c.Clock.Now() + gap
-	for i := 0; i < o.msgs; i++ {
-		t := start + sim.Time(i)*gap
-		c.Clock.At(t, func() { publishData() })
-	}
-	c.Clock.RunUntil(start + sim.Time(o.msgs)*gap + settle)
+	dur.pub.Evict(deadDurAddr)
+	_, end = k.phase(dur.publish)
+	k.Clock.RunUntil(end)
 
 	// The replacement resumes under the same cursor name at a fresh
 	// address, from the stored cursor.
-	dsub2, err := topic.NewSubscriberDurable(c.Domains[3], fdir, "data", topic.Normal, o.window, o.window, durName)
-	if err != nil {
+	if dur.sub, err = topic.NewSubscriberDurable(k.Domains[3], fdir, "data", topic.Normal, o.window, o.window, dur.cursor); err != nil {
 		return fmt.Errorf("durable replacement: %w", err)
 	}
-	durCur = dsub2
-	durAlive = true
-	if err := dpub.Refresh(); err != nil {
+	if err := dur.pub.Refresh(); err != nil {
 		return err
 	}
 	// Drain the blackout catch-up before the phase-two latency window:
 	// the replay burst is deliberate Bulk-priority backlog, and letting
 	// it overlap the measurement would charge the durable tranche to the
 	// control-plane p99 bound.
-	for i := 0; i < 500 && len(durSeen) != durPublished; i++ {
-		c.Clock.RunUntil(c.Clock.Now() + settle)
-	}
-	if len(durSeen) != durPublished {
-		return fmt.Errorf("blackout catch-up stalled: %d/%d delivered", len(durSeen), durPublished)
+	if !k.waitFor(500, func() bool { return len(dur.seen) == dur.published() }) {
+		return fmt.Errorf("blackout catch-up stalled: %d/%d delivered", len(dur.seen), dur.published())
 	}
 
 	// Phase two: same traffic against the new primary, with the durable
 	// stream back live.
-	start = c.Clock.Now() + gap
-	for i := 0; i < o.msgs; i++ {
-		t := start + sim.Time(i)*gap
-		c.Clock.At(t, func() { publish(); publishData() })
-	}
-	settleUntil(start + sim.Time(o.msgs)*gap + settle)
-	after := collectLatencies(subs)
-
-	// Durable quiesce: everything delivered across incarnations, cursor
-	// back at head on the log and on the new primary.
-	durDone := func() bool {
-		if len(durSeen) != durPublished {
-			return false
-		}
-		cur, ok := dlog.Cursor(durName)
-		if !ok || cur != dlog.Head() {
-			return false
-		}
-		rc, rok := regB.CursorOf("data", durName)
-		return rok && rc == cur
-	}
-	for i := 0; i < 500 && !durDone(); i++ {
-		c.Clock.RunUntil(c.Clock.Now() + settle)
-	}
+	_, end = k.phase(traffic)
+	k.settle(end, 500, settled)
+	after, afterErr := summarize(subs)
+	k.waitFor(500, func() bool { return dur.settled(reg.regS) })
 
 	// Conservation across both phases: every publish completed without
 	// blocking and is accounted for at one end or the other.
-	var delivered, recvDrops uint64
-	for _, s := range subs {
-		delivered += s.sub.Received()
-		recvDrops += s.sub.Drops()
-	}
-	expect := pub.Published() * uint64(nsubs)
-	got := delivered + recvDrops + pub.Dropped()
+	l := fanoutLaw(pub, subs)
 	fmt.Printf("flipcsim -failover: %d nodes, %d subscribers, poll %v, gap %v\n",
-		o.nodes, nsubs, o.poll, o.gap)
+		o.nodes, len(subs), o.poll, o.gap)
 	fmt.Printf("registry: primary gen %d killed after %d records; standby promoted at gen %d (epoch %d)\n",
-		genA, stA.Seq(), genB, fdir.Epoch())
+		reg.genP, reg.stP.Seq(), genB, fdir.Epoch())
 	fmt.Printf("ctl: published %d x %d subs = %d; delivered %d, recv-dropped %d, pub-dropped %d\n",
-		pub.Published(), nsubs, expect, delivered, recvDrops, pub.Dropped())
-	if pub.Published() != uint64(2*o.msgs) {
-		return fmt.Errorf("publisher blocked: %d of %d publishes completed", pub.Published(), 2*o.msgs)
+		l.published, l.subs, l.expect, l.delivered, l.recvDrops, l.pubDrops)
+	if l.published != uint64(2*o.msgs) {
+		return fmt.Errorf("publisher blocked: %d of %d publishes completed", l.published, 2*o.msgs)
 	}
-	if got != expect {
-		return fmt.Errorf("conservation violated across failover: %d of %d accounted", got, expect)
+	if l.got != l.expect {
+		return fmt.Errorf("conservation violated across failover: %d of %d accounted", l.got, l.expect)
 	}
 	fmt.Println("conservation: ok (zero subscriptions lost, no publisher blocked)")
 
 	// The durable data-loss ledger: every payload published across the
 	// kill — including the blackout tranche nobody was alive to hear —
-	// was delivered exactly once, and the only admissible loss class
-	// (retention stranding) is empty.
-	if durPublished != 3*o.msgs || dlog.Head() != uint64(durPublished) {
-		return fmt.Errorf("durable journal short: %d published, head %d", durPublished, dlog.Head())
+	// was delivered exactly once, with replay doing the catching up.
+	if err := dur.exactlyOnce(3 * o.msgs); err != nil {
+		return err
 	}
-	for tag := 0; tag < durPublished; tag++ {
-		if n := durSeen[tag]; n != 1 {
-			return fmt.Errorf("durable payload %d delivered %d times (zero-loss ledger violated)", tag, n)
-		}
-	}
-	if dpub.ReplayStranded() != 0 {
-		return fmt.Errorf("durable stranded %d frames on an unbreached log", dpub.ReplayStranded())
-	}
-	if dpub.Replayed() == 0 || dsub2.Replayed() == 0 {
+	if dur.pub.Replayed() == 0 || dur.sub.Replayed() == 0 {
 		return fmt.Errorf("durable blackout never exercised replay (pub %d, sub %d)",
-			dpub.Replayed(), dsub2.Replayed())
+			dur.pub.Replayed(), dur.sub.Replayed())
 	}
-	rc, _ := regB.CursorOf("data", durName)
+	rc, _ := reg.regS.CursorOf("data", dur.cursor)
 	fmt.Printf("data (durable): published %d (1/3 with its subscriber dead); delivered %d distinct, %d by replay; deferred %d, stranded 0\n",
-		durPublished, len(durSeen), dsub2.Replayed(), dpub.Deferred())
+		dur.published(), len(dur.seen), dur.sub.Replayed(), dur.pub.Deferred())
 	fmt.Printf("durable ledger: ok (zero payload loss across the kill; cursor %d at head on the new primary)\n", rc)
 
-	beforeSum, err := stats.Summarize(before)
-	if err != nil {
-		return fmt.Errorf("pre-failover phase: %w", err)
+	if beforeErr != nil {
+		return fmt.Errorf("pre-failover phase: %w", beforeErr)
 	}
-	afterSum, err := stats.Summarize(after)
-	if err != nil {
-		return fmt.Errorf("post-failover phase: %w", err)
+	if afterErr != nil {
+		return fmt.Errorf("post-failover phase: %w", afterErr)
 	}
-	fmt.Printf("ctl one-way latency µs, pre-failover:  %v\n", beforeSum)
-	fmt.Printf("ctl one-way latency µs, post-failover: %v\n", afterSum)
-	ratio := afterSum.P99 / beforeSum.P99
+	fmt.Printf("ctl one-way latency µs, pre-failover:  %v\n", before)
+	fmt.Printf("ctl one-way latency µs, post-failover: %v\n", after)
+	ratio := after.P99 / before.P99
 	fmt.Printf("ctl p99 after failover: %.2fx pre-failover baseline\n", ratio)
 	if ratio > 2 {
 		return fmt.Errorf("control p99 degraded %.2fx across failover (bound: 2x)", ratio)

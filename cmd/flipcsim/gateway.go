@@ -3,26 +3,13 @@ package main
 import (
 	"bytes"
 	"fmt"
-	"time"
 
 	"flipc/internal/gateway"
 	"flipc/internal/nameservice"
 	"flipc/internal/sim"
 	"flipc/internal/simcluster"
-	"flipc/internal/stats"
 	"flipc/internal/topic"
 )
-
-// gatewayOpts parameterizes the -gateway scenario.
-type gatewayOpts struct {
-	nodes   int
-	msgSize int
-	msgs    int           // control publishes per phase
-	gap     time.Duration // publish period (virtual)
-	poll    time.Duration
-	window  int
-	clients int // clients per gateway
-}
 
 // nGateways is the scenario's gateway count: three independent edge
 // multiplexers, one of which is killed mid-traffic.
@@ -37,8 +24,8 @@ type simClient struct {
 	c       *gateway.Client
 	decoded uint64 // OpDeliver frames decoded back out of the framing
 	other   uint64 // anything else that arrived (must stay zero here)
-	lat     []sim.Time
-	measure bool // laggard clients skew queue-wait, not fabric latency
+	measure bool   // laggard clients skew queue-wait, not fabric latency
+	samples
 }
 
 // runGateway is the client edge plane failure scenario: three gateways
@@ -61,24 +48,15 @@ type simClient struct {
 //   - the backpressure discipline is exercised for real: a laggard
 //     client on a surviving gateway must take counted drops and
 //     throttles without disturbing its neighbors' ledgers.
-func runGateway(o gatewayOpts) error {
-	if o.nodes < nGateways+1 {
-		return fmt.Errorf("-gateway needs at least %d nodes (%d gateways + publisher)", nGateways+1, nGateways)
-	}
+func runGateway(o simOpts) error {
 	if o.clients < 2 {
 		return fmt.Errorf("-gateway needs at least 2 clients per gateway")
 	}
-	scfg := simcluster.Config{
-		Nodes:        o.nodes,
-		MessageSize:  o.msgSize,
-		NumBuffers:   16 * o.window,
-		PollInterval: sim.Time(o.poll.Nanoseconds()),
-	}
-	c, err := simcluster.New(scfg)
+	k, err := newKit(o, simcluster.Config{NumBuffers: 16 * o.window})
 	if err != nil {
 		return err
 	}
-	defer c.Close()
+	defer k.Close()
 
 	// One shared registry (the edge plane's directory), gateways on
 	// nodes 0..2, the publisher on node 3.
@@ -88,11 +66,11 @@ func runGateway(o gatewayOpts) error {
 	var (
 		muxes [nGateways]*gateway.Mux
 		alive [nGateways]bool
-		names [nGateways]string
+		names = make([]string, nGateways)
 	)
 	for g := 0; g < nGateways; g++ {
 		names[g] = fmt.Sprintf("gw-%d", g)
-		muxes[g], err = gateway.NewMux(c.Domains[g], gateway.Config{
+		muxes[g], err = gateway.NewMux(k.Domains[g], gateway.Config{
 			Name:         names[g],
 			Dir:          dir,
 			InboxBuffers: o.window,
@@ -125,7 +103,7 @@ func runGateway(o gatewayOpts) error {
 	// two hundred times slower than its queue fills, so the bounded
 	// queue must shed with counted drops and throttles.
 	const pattern = "ctl.*"
-	clientsOf := [nGateways][]*simClient{}
+	clientsOf := make([][]*simClient, nGateways)
 	for g := 0; g < nGateways; g++ {
 		for i := 0; i < o.clients; i++ {
 			cl := &simClient{c: muxes[g].Attach(), measure: true}
@@ -159,7 +137,7 @@ func runGateway(o gatewayOpts) error {
 	// subscribes to "ctl.rate" exactly, the whole fanout plan comes
 	// from the wildcard plane.
 	const ctlTopic = "ctl.rate"
-	pub, err := topic.NewPublisher(c.Domains[nGateways], dir, topic.PublisherConfig{
+	pub, err := topic.NewPublisher(k.Domains[nGateways], dir, topic.PublisherConfig{
 		Topic: ctlTopic, Class: topic.Control, Window: o.window, RefreshEvery: 8,
 	})
 	if err != nil {
@@ -174,26 +152,25 @@ func runGateway(o gatewayOpts) error {
 	// registry sweep epochs every 1000 polls — a dead gateway's leases
 	// expire after DefaultTopicTTL missed sweeps with no other party
 	// lifting a finger.
-	poll := sim.Time(o.poll.Nanoseconds())
 	for g := 0; g < nGateways; g++ {
-		g := g
-		c.Clock.NewTicker(poll, func() {
+		k.Clock.NewTicker(k.poll, func() {
 			if alive[g] {
 				muxes[g].Pump()
 			}
 		})
-		c.Clock.NewTicker(200*poll, func() {
+		k.Clock.NewTicker(200*k.poll, func() {
 			if alive[g] {
 				muxes[g].Housekeeping()
 			}
 		})
 	}
-	epochEvery := 1000 * poll
-	c.Clock.NewTicker(epochEvery, func() { reg.Advance() })
+	epochEvery := 1000 * k.poll
+	k.Clock.NewTicker(epochEvery, func() { reg.Advance() })
 
 	// Client drain loops: decode every popped frame back through the
-	// scanner — the receive half of the framing boundary.
-	sent := map[int]sim.Time{}
+	// scanner — the receive half of the framing boundary. Tags resolve
+	// decode times back to the virtual publish instant.
+	led := newLedger(k.Clock)
 	drain := func(cl *simClient) {
 		for {
 			b, ok := cl.c.PopOut()
@@ -213,104 +190,69 @@ func runGateway(o gatewayOpts) error {
 				continue
 			}
 			cl.decoded++
-			if len(fr.Payload) >= 2 && cl.measure {
-				tag := int(fr.Payload[0])<<8 | int(fr.Payload[1])
-				if t0, ok := sent[tag]; ok {
-					cl.lat = append(cl.lat, c.Clock.Now()-t0)
-				}
+			if cl.measure {
+				cl.lat = led.resolve(cl.lat, fr.Payload)
 			}
 		}
 	}
 	for g := 0; g < nGateways; g++ {
 		for _, cl := range clientsOf[g] {
-			cl := cl
-			period := poll
+			period := k.poll
 			if cl == laggard {
-				period = 200 * poll
+				period = 200 * k.poll
 			}
-			c.Clock.NewTicker(period, func() { drain(cl) })
+			k.Clock.NewTicker(period, func() { drain(cl) })
 		}
 	}
-
-	// Tagged traffic, one global ledger: tags resolve decode times back
-	// to the virtual publish instant.
-	nextTag := 0
-	publish := func() {
-		var buf [2]byte
-		buf[0], buf[1] = byte(nextTag>>8), byte(nextTag)
-		sent[nextTag] = c.Clock.Now()
-		nextTag++
-		if _, err := pub.Publish(buf[:]); err != nil {
-			fatal(err)
-		}
-	}
+	publish := func() { led.publish(pub, true) }
 
 	// Quiesce: run until the edge ledgers stop moving and every live
 	// queue has drained (the laggard needs whole drain periods).
-	gap := sim.Time(o.gap.Nanoseconds())
-	settle := 1000 * poll
-	quiesce := func(deadline sim.Time) {
-		c.Clock.RunUntil(deadline)
-		last := ^uint64(0)
-		for i := 0; i < 500; i++ {
-			var cur uint64
-			var queued int
-			for g := 0; g < nGateways; g++ {
-				st := muxes[g].Stats()
-				cur += st.Received + st.Matched
-				for _, cl := range clientsOf[g] {
-					cur += cl.decoded
-					queued += cl.c.Queued()
-				}
+	var last uint64
+	quiet := func() bool {
+		var cur uint64
+		var queued int
+		for g := 0; g < nGateways; g++ {
+			st := muxes[g].Stats()
+			cur += st.Received + st.Matched
+			for _, cl := range clientsOf[g] {
+				cur += cl.decoded
+				queued += cl.c.Queued()
 			}
-			if queued == 0 && cur == last {
-				return
-			}
-			last = cur
-			deadline += settle
-			c.Clock.RunUntil(deadline)
 		}
+		stable := queued == 0 && cur == last
+		last = cur
+		return stable
+	}
+	quiesce := func(end sim.Time) {
+		last = ^uint64(0)
+		k.settle(end, 500, quiet)
 	}
 
 	// Phase one: traffic through all three gateways, establishing each
 	// gateway's own latency baseline.
-	start := c.Clock.Now() + gap
-	for i := 0; i < o.msgs; i++ {
-		c.Clock.At(start+sim.Time(i)*gap, publish)
-	}
-	quiesce(start + sim.Time(o.msgs)*gap + settle)
-	before := [nGateways]stats.Summary{}
-	for g := 0; g < nGateways; g++ {
-		sum, err := stats.Summarize(collectClientLatencies(clientsOf[g]))
-		if err != nil {
-			return fmt.Errorf("gateway %d baseline: %w", g, err)
-		}
-		before[g] = sum
+	_, end := k.phase(publish)
+	quiesce(end)
+	before, err := summarizeEach(clientsOf, names, "baseline")
+	if err != nil {
+		return err
 	}
 
 	// Phase two: same traffic, with gateway 1 killed cold mid-phase —
 	// no detach, no unsubscribe, no presence drop. Everything it held
 	// must die by lease expiry alone.
 	const victim = 1
-	start = c.Clock.Now() + gap
-	killAt := start + sim.Time(o.msgs/2)*gap + gap/2
-	c.Clock.At(killAt, func() { alive[victim] = false })
-	for i := 0; i < o.msgs; i++ {
-		c.Clock.At(start+sim.Time(i)*gap, publish)
-	}
-	quiesce(start + sim.Time(o.msgs)*gap + settle)
-	after := [nGateways]stats.Summary{}
-	for g := 0; g < nGateways; g++ {
-		sum, err := stats.Summarize(collectClientLatencies(clientsOf[g]))
-		if err != nil {
-			return fmt.Errorf("gateway %d phase two: %w", g, err)
-		}
-		after[g] = sum
+	start, end := k.phase(publish)
+	k.Clock.At(start+sim.Time(o.msgs/2)*k.gap+k.gap/2, func() { alive[victim] = false })
+	quiesce(end)
+	after, err := summarizeEach(clientsOf, names, "phase two")
+	if err != nil {
+		return err
 	}
 
 	// Let the lease sweeps run: DefaultTopicTTL epochs plus slack. The
 	// survivors keep renewing underneath; the victim cannot.
-	c.Clock.RunUntil(c.Clock.Now() + sim.Time(nameservice.DefaultTopicTTL+3)*epochEvery)
+	k.Clock.RunUntil(k.Clock.Now() + sim.Time(nameservice.DefaultTopicTTL+3)*epochEvery)
 
 	fmt.Printf("flipcsim -gateway: %d nodes, %d gateways, %d clients each, poll %v, gap %v\n",
 		o.nodes, nGateways, o.clients, o.poll, o.gap)
@@ -401,31 +343,9 @@ func runGateway(o gatewayOpts) error {
 		fmt.Printf("backpressure: laggard shed %d drops + %d throttles; zero collateral on its neighbors\n", lagDrop, lagThr)
 	}
 
-	// The independence bound: surviving gateways' ctl p99 within 1.2x
-	// their own baseline. The victim is reported but unbounded.
-	for g := 0; g < nGateways; g++ {
-		ratio := after[g].P99 / before[g].P99
-		verdict := ""
-		if g == victim {
-			verdict = " (killed mid-phase; unbounded)"
-		}
-		fmt.Printf("%s ctl p99: %.2fµs -> %.2fµs (%.2fx)%s\n",
-			names[g], before[g].P99, after[g].P99, ratio, verdict)
-		if g != victim && ratio > 1.2 {
-			return fmt.Errorf("surviving %s p99 degraded %.2fx across a foreign gateway kill (bound: 1.2x)", names[g], ratio)
-		}
+	if err := isolated(names, before, after, victim, "gateway kill"); err != nil {
+		return err
 	}
 	fmt.Println("isolation: ok (surviving gateways unperturbed by the kill)")
 	return nil
-}
-
-func collectClientLatencies(clients []*simClient) []float64 {
-	var out []float64
-	for _, cl := range clients {
-		for _, l := range cl.lat {
-			out = append(out, l.Micros())
-		}
-		cl.lat = nil
-	}
-	return out
 }

@@ -65,87 +65,40 @@ func main() {
 	)
 	flag.Parse()
 
-	if *shards {
-		n := *nodes
-		if n < 10 {
-			n = 10 // 3 primaries + 3 standbys + publisher + 3 subscribers
-		}
-		if err := runShards(shardsOpts{
-			nodes:   n,
-			msgSize: *msgSize,
-			msgs:    *msgs,
-			gap:     *gap,
-			poll:    *poll,
-			window:  *window * 4,
-		}); err != nil {
-			fatal(err)
-		}
-		return
+	o := simOpts{
+		nodes:      *nodes,
+		msgSize:    *msgSize,
+		msgs:       *msgs,
+		gap:        *gap,
+		poll:       *poll,
+		window:     *window * 4,
+		bulkGap:    *bulkGap,
+		batch:      *batch,
+		flushDl:    *flushDl,
+		clients:    *gwcli,
+		slowFactor: *slowBy,
 	}
-	if *gwsim {
-		n := *nodes
-		if n < nGateways+1 {
-			n = nGateways + 1 // 3 gateways + publisher
+	var run func(simOpts) error
+	switch {
+	case *shards:
+		o.nodes = max(o.nodes, 10) // 3 primaries + 3 standbys + publisher + 3 subscribers
+		run = runShards
+	case *gwsim:
+		o.nodes = max(o.nodes, nGateways+1) // 3 gateways + publisher
+		run = runGateway
+	case *failover:
+		o.nodes = max(o.nodes, 6) // 2 registries + publisher + 3 subscribers
+		run = runFailover
+	case *slowsub:
+		run = runSlowsub
+	case *topics:
+		if o.nodes == 2 {
+			o.nodes = 3 // default ping pair is too small for a fanout demo
 		}
-		if err := runGateway(gatewayOpts{
-			nodes:   n,
-			msgSize: *msgSize,
-			msgs:    *msgs,
-			gap:     *gap,
-			poll:    *poll,
-			window:  *window * 4,
-			clients: *gwcli,
-		}); err != nil {
-			fatal(err)
-		}
-		return
+		run = runTopics
 	}
-	if *failover {
-		n := *nodes
-		if n < 6 {
-			n = 6 // 2 registries + publisher + 3 subscribers
-		}
-		if err := runFailover(failoverOpts{
-			nodes:   n,
-			msgSize: *msgSize,
-			msgs:    *msgs,
-			gap:     *gap,
-			poll:    *poll,
-			window:  *window * 4,
-		}); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *slowsub {
-		if err := runSlowsub(slowsubOpts{
-			msgSize:    *msgSize,
-			msgs:       *msgs,
-			gap:        *gap,
-			poll:       *poll,
-			window:     *window * 4,
-			slowFactor: *slowBy,
-		}); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *topics {
-		n := *nodes
-		if n == 2 {
-			n = 3 // default ping pair is too small for a fanout demo
-		}
-		if err := runTopics(topicsOpts{
-			nodes:   n,
-			msgSize: *msgSize,
-			msgs:    *msgs,
-			gap:     *gap,
-			bulkGap: *bulkGap,
-			poll:    *poll,
-			window:  *window * 4,
-			batch:   *batch,
-			flushDl: *flushDl,
-		}); err != nil {
+	if run != nil {
+		if err := run(o); err != nil {
 			fatal(err)
 		}
 		return
@@ -176,42 +129,34 @@ func main() {
 		fmt.Fprintf(os.Stderr, "flipcsim: unknown policy %q\n", *policy)
 		os.Exit(2)
 	}
-	scfg := simcluster.Config{
-		Nodes:        *nodes,
-		MessageSize:  *msgSize,
-		NumBuffers:   *window + 32,
-		PollInterval: sim.Time(poll.Nanoseconds()),
-		Engine:       ecfg,
-	}
+	scfg := simcluster.Config{NumBuffers: *window + 32, Engine: ecfg}
 	if chaosOn {
 		scfg.Chaos = &ccfg
 	}
-	c, err := simcluster.New(scfg)
+	k, err := newKit(o, scfg)
 	if err != nil {
 		fatal(err)
 	}
-	defer c.Close()
+	defer k.Close()
 
-	p, err := c.NewProbePrio(*src, *dst, *window, uint8(*prio))
+	p, err := k.NewProbePrio(*src, *dst, *window, uint8(*prio))
 	if err != nil {
 		fatal(err)
 	}
 	for i := 0; i < *msgs; i++ {
-		p.SendAt(sim.Time(i+1)*sim.Time(gap.Nanoseconds()), *payload)
+		p.SendAt(sim.Time(i+1)*k.gap, *payload)
 	}
-	deadline := sim.Time(*msgs+10) * sim.Time(gap.Nanoseconds()) * 4
-	p.Run(deadline)
+	p.Run(sim.Time(*msgs+10) * k.gap * 4)
 
 	fmt.Printf("flipcsim: %d nodes, %d->%d (%d mesh hops), message size %d, poll %v\n",
-		*nodes, *src, *dst, c.Mesh.Hops(uint16ToNode(*src), uint16ToNode(*dst)), *msgSize, *poll)
+		*nodes, *src, *dst, k.Mesh.Hops(uint16ToNode(*src), uint16ToNode(*dst)), *msgSize, *poll)
 	fmt.Printf("sent %d, delivered %d, dropped %d, pending %d\n",
 		*msgs, len(p.Latencies), p.Endpoint().Drops(), p.Pending())
 	if chaosOn {
 		var inj faultinject.Stats
-		for _, j := range c.Injectors {
+		for _, j := range k.Injectors {
 			st := j.Stats()
 			inj.Sent += st.Sent
-			inj.Forwarded += st.Forwarded
 			inj.Dropped += st.Dropped
 			inj.Duplicated += st.Duplicated
 			inj.Corrupted += st.Corrupted
@@ -220,7 +165,7 @@ func main() {
 		}
 		var est engine.Stats
 		quarantined := 0
-		for _, d := range c.Domains {
+		for _, d := range k.Domains {
 			st := d.Engine().Stats()
 			est.RecvDrops += st.RecvDrops
 			est.AddrDrops += st.AddrDrops
@@ -247,8 +192,8 @@ func main() {
 	}
 	fmt.Printf("one-way latency µs: %v\n", sum)
 	fmt.Printf("wire share: %.0f%% (wire %v of mean %.3fµs)\n",
-		100*float64(c.Mesh.WireTime(uint16ToNode(*src), uint16ToNode(*dst), *msgSize))/(sum.Mean*1000),
-		c.Mesh.WireTime(uint16ToNode(*src), uint16ToNode(*dst), *msgSize), sum.Mean)
+		100*float64(k.Mesh.WireTime(uint16ToNode(*src), uint16ToNode(*dst), *msgSize))/(sum.Mean*1000),
+		k.Mesh.WireTime(uint16ToNode(*src), uint16ToNode(*dst), *msgSize), sum.Mean)
 }
 
 func uint16ToNode(n int) wire.NodeID { return wire.NodeID(n) }

@@ -2,24 +2,12 @@ package main
 
 import (
 	"fmt"
-	"time"
 
 	"flipc/internal/nameservice"
 	"flipc/internal/sim"
 	"flipc/internal/simcluster"
-	"flipc/internal/stats"
 	"flipc/internal/topic"
 )
-
-// slowsubOpts parameterizes the -slowsub scenario.
-type slowsubOpts struct {
-	msgSize    int
-	msgs       int           // publishes per phase
-	gap        time.Duration // publish period (virtual)
-	poll       time.Duration
-	window     int // subscriber inbox buffers / advertised credit cap
-	slowFactor int // slow subscriber drains one message per slowFactor*gap
-}
 
 // slowsubLeg is one full cluster run: a baseline phase with only the
 // fast subscriber, then a contended phase where a slow subscriber
@@ -37,7 +25,7 @@ type slowsubLeg struct {
 // fall to ~zero (the overrun converts into publisher-side throttles,
 // deferral instead of loss) while the fast subscriber's tail latency
 // stays within 1.2x of its no-slow-peer baseline.
-func runSlowsub(o slowsubOpts) error {
+func runSlowsub(o simOpts) error {
 	if o.slowFactor < 2 {
 		return fmt.Errorf("-slowsub needs a slow factor >= 2")
 	}
@@ -83,77 +71,38 @@ func runSlowsub(o slowsubOpts) error {
 	return nil
 }
 
-func slowsubOnce(o slowsubOpts, credit bool) (slowsubLeg, error) {
+func slowsubOnce(o simOpts, credit bool) (slowsubLeg, error) {
 	var leg slowsubLeg
-	scfg := simcluster.Config{
-		Nodes:        3, // 0 publisher, 1 fast subscriber, 2 slow subscriber
-		MessageSize:  o.msgSize,
-		NumBuffers:   4*o.window + 32,
-		PollInterval: sim.Time(o.poll.Nanoseconds()),
-	}
-	c, err := simcluster.New(scfg)
+	// Node 0 publishes, node 1 hosts the fast subscriber, node 2 the slow.
+	k, err := newKit(o, simcluster.Config{Nodes: 3, NumBuffers: 4*o.window + 32})
 	if err != nil {
 		return leg, err
 	}
-	defer c.Close()
+	defer k.Close()
 
 	dir := topic.LocalDirectory{R: nameservice.NewTopicRegistry()}
-	newSub := func(node int) (*topic.Subscriber, error) {
+	newSub := func(node int) (*topicSub, error) {
 		if credit {
-			return topic.NewSubscriberCredit(c.Domains[node], dir, "feed", topic.Normal,
+			s, err := topic.NewSubscriberCredit(k.Domains[node], dir, "feed", topic.Normal,
 				o.window, o.window, topic.CreditConfig{})
+			return &topicSub{sub: s}, err
 		}
-		return topic.NewSubscriber(c.Domains[node], dir, "feed", topic.Normal, o.window, o.window)
+		return k.subscribe(node, dir, "feed", topic.Normal)
 	}
 	fast, err := newSub(1)
 	if err != nil {
 		return leg, err
 	}
-	pub, err := topic.NewPublisher(c.Domains[0], dir, topic.PublisherConfig{
+	pub, err := topic.NewPublisher(k.Domains[0], dir, topic.PublisherConfig{
 		Topic: "feed", Class: topic.Normal, Window: o.window,
 		RefreshEvery: 16, Credit: credit, CreditBuffers: o.window,
 	})
 	if err != nil {
 		return leg, err
 	}
-
-	// Positional latency, as in -topics: publishes stamp a tag, drain
-	// tickers resolve it to one sample per delivery.
-	sent := map[int]sim.Time{}
-	nextTag := 0
-	publish := func() {
-		tag := nextTag
-		nextTag++
-		var buf [2]byte
-		buf[0], buf[1] = byte(tag>>8), byte(tag)
-		sent[tag] = c.Clock.Now()
-		if _, err := pub.Publish(buf[:]); err != nil {
-			fatal(err)
-		}
-	}
-	fastLedger := &topicSub{sub: fast}
-	drainOne := func(s *topicSub) bool {
-		payload, _, ok := s.sub.Receive()
-		if !ok {
-			return false
-		}
-		if len(payload) >= 2 {
-			tag := int(payload[0])<<8 | int(payload[1])
-			if t0, ok := sent[tag]; ok {
-				s.lat = append(s.lat, c.Clock.Now()-t0)
-			}
-		}
-		return true
-	}
-	poll := sim.Time(o.poll.Nanoseconds())
-	c.Clock.NewTicker(poll, func() {
-		for drainOne(fastLedger) {
-		}
-	})
-
-	gap := sim.Time(o.gap.Nanoseconds())
-	settle := 1000 * poll
-	var phaseAPub uint64
+	led := newLedger(k.Clock)
+	k.drainEvery(led, []*topicSub{fast})
+	publish := func() { led.publish(pub, true) }
 
 	// Handshake before traffic: the hello must be consumed and answered
 	// so the baseline phase runs fully credited.
@@ -161,12 +110,12 @@ func slowsubOnce(o slowsubOpts, credit bool) (slowsubLeg, error) {
 		if !credit {
 			return nil
 		}
-		deadline := c.Clock.Now() + 10000*poll
+		deadline := k.Clock.Now() + 10000*k.poll
 		for pub.CreditAdverts() < n {
-			if c.Clock.Now() > deadline {
+			if k.Clock.Now() > deadline {
 				return fmt.Errorf("credit handshake incomplete (%d/%d adverts)", pub.CreditAdverts(), n)
 			}
-			c.Clock.RunUntil(c.Clock.Now() + 100*poll)
+			k.Clock.RunUntil(k.Clock.Now() + 100*k.poll)
 		}
 		return nil
 	}
@@ -175,19 +124,13 @@ func slowsubOnce(o slowsubOpts, credit bool) (slowsubLeg, error) {
 	}
 
 	// Phase A: the fast subscriber alone — the no-slow-peer baseline.
-	start := c.Clock.Now() + gap
-	for i := 0; i < o.msgs; i++ {
-		t := start + sim.Time(i)*gap
-		c.Clock.At(t, func() { publish() })
-	}
-	deadline := start + sim.Time(o.msgs)*gap + settle
-	c.Clock.RunUntil(deadline)
-	for i := 0; i < 500 && fast.Received()+fast.Drops() < pub.Sent(); i++ {
-		deadline += settle
-		c.Clock.RunUntil(deadline)
-	}
-	phaseAPub = pub.Published()
-	base, err := stats.Summarize(collectLatencies([]*topicSub{fastLedger}))
+	_, end := k.phase(publish)
+	k.settle(end, 500, func() bool {
+		d, r := fanout(fast)
+		return d+r >= pub.Sent()
+	})
+	phaseAPub := pub.Published()
+	base, err := summarize([]*topicSub{fast})
 	if err != nil {
 		return leg, fmt.Errorf("baseline phase: %w", err)
 	}
@@ -200,16 +143,14 @@ func slowsubOnce(o slowsubOpts, credit bool) (slowsubLeg, error) {
 	if err != nil {
 		return leg, err
 	}
-	slowLedger := &topicSub{sub: slow}
-	c.Clock.NewTicker(sim.Time(o.slowFactor)*gap, func() { drainOne(slowLedger) })
+	k.Clock.NewTicker(sim.Time(o.slowFactor)*k.gap, func() { slow.receive(led) })
 	// Renewals on a coarse cadence drive the AIMD interval (and keep
 	// the lease alive, as a deployment's housekeeping loop would).
-	c.Clock.NewTicker(100*gap, func() {
-		if err := fast.Renew(); err != nil {
-			fatal(err)
-		}
-		if err := slow.Renew(); err != nil {
-			fatal(err)
+	k.Clock.NewTicker(100*k.gap, func() {
+		for _, s := range []*topicSub{fast, slow} {
+			if err := s.sub.Renew(); err != nil {
+				fatal(err)
+			}
 		}
 	})
 	if err := pub.Refresh(); err != nil {
@@ -220,43 +161,30 @@ func slowsubOnce(o slowsubOpts, credit bool) (slowsubLeg, error) {
 	}
 
 	// Phase B: same publish cadence beside the slow peer.
-	start = c.Clock.Now() + gap
-	for i := 0; i < o.msgs; i++ {
-		t := start + sim.Time(i)*gap
-		c.Clock.At(t, func() { publish() })
-	}
-	deadline = start + sim.Time(o.msgs)*gap + settle
-	c.Clock.RunUntil(deadline)
-	balanced := func() bool {
-		disposed := fast.Received() + fast.AppDrops() + slow.Received() + slow.AppDrops()
-		return disposed >= pub.Sent()
-	}
-	for i := 0; i < 2000 && !balanced(); i++ {
-		deadline += settle
-		c.Clock.RunUntil(deadline)
-	}
+	_, end = k.phase(publish)
+	k.settle(end, 2000, func() bool {
+		d, r := fanout(fast, slow)
+		return d+r >= pub.Sent()
+	})
 
 	// Conservation, with the new term: every fanout slot is delivered,
 	// counted at a drop ledger, or deliberately throttled.
 	slots := phaseAPub + 2*(pub.Published()-phaseAPub)
-	// AppDrops: endpoint discards of control frames (hellos, credit)
-	// are outside the publisher's ledgers and must not enter the law.
-	got := fast.Received() + fast.AppDrops() + slow.Received() + slow.AppDrops() +
-		pub.Dropped() + pub.Throttled()
-	if got != slots {
+	delivered, recvDrops := fanout(fast, slow)
+	if got := delivered + recvDrops + pub.Dropped() + pub.Throttled(); got != slots {
 		return leg, fmt.Errorf("conservation violated: %d accounted of %d fanout slots "+
 			"(delivered f=%d s=%d, recv-dropped f=%d s=%d, pub-dropped %d, throttled %d)",
-			got, slots, fast.Received(), slow.Received(), fast.AppDrops(), slow.AppDrops(),
+			got, slots, fast.sub.Received(), slow.sub.Received(), fast.sub.AppDrops(), slow.sub.AppDrops(),
 			pub.Dropped(), pub.Throttled())
 	}
 
-	cont, err := stats.Summarize(collectLatencies([]*topicSub{fastLedger}))
+	cont, err := summarize([]*topicSub{fast})
 	if err != nil {
 		return leg, fmt.Errorf("contended phase: %w", err)
 	}
 	leg.contendP99 = cont.P99
-	leg.slowDrops = slow.Drops()
-	leg.slowRecv = slow.Received()
+	leg.slowDrops = slow.sub.Drops()
+	leg.slowRecv = slow.sub.Received()
 	leg.throttled = pub.Throttled()
 	return leg, nil
 }
