@@ -82,30 +82,6 @@ func ValidTopicName(topic string) error {
 	return nil
 }
 
-// MatchesPattern reports whether topic matches pat under the pattern
-// grammar — the reference predicate the trie index must agree with
-// (the fuzz harness checks them against each other).
-func MatchesPattern(pat, topic string) bool {
-	if topic == "" {
-		return false
-	}
-	ps := strings.Split(pat, ".")
-	ts := strings.Split(topic, ".")
-	for i, p := range ps {
-		if p == "**" {
-			// Final segment by validation: matches one or more remaining.
-			return len(ts) > i
-		}
-		if i >= len(ts) {
-			return false
-		}
-		if p != "*" && p != ts[i] {
-			return false
-		}
-	}
-	return len(ps) == len(ts)
-}
-
 // patNode is one segment level of the pattern trie. Literal children
 // are keyed by segment; the two wildcard kinds get dedicated slots so
 // matching never confuses a literal "*" (invalid anyway) with the

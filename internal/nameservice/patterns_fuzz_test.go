@@ -7,7 +7,7 @@ import (
 )
 
 // FuzzPatternIndex is a differential fuzzer: the prefix-tree's Match
-// must agree exactly with the reference predicate MatchesPattern for
+// must agree exactly with the reference predicate matchesPattern for
 // every (pattern set, topic) pair, and Add/Remove must round-trip the
 // tree back to empty. The input encodes a small pattern set and a
 // topic in one string: newline-separated patterns, last line the
@@ -66,7 +66,7 @@ func FuzzPatternIndex(f *testing.F) {
 		// agreement keeps the predicate the single source of truth).
 		var want []int
 		for i, p := range pats {
-			if MatchesPattern(p, topic) {
+			if matchesPattern(p, topic) {
 				want = append(want, i)
 			}
 		}
@@ -101,4 +101,27 @@ func FuzzPatternIndex(f *testing.F) {
 			t.Fatalf("emptied tree still matches %q -> %d", topic, key)
 		})
 	})
+}
+
+// matchesPattern reports whether topic matches pat under the pattern
+// grammar — the reference predicate the trie index must agree with.
+func matchesPattern(pat, topic string) bool {
+	if topic == "" {
+		return false
+	}
+	ps := strings.Split(pat, ".")
+	ts := strings.Split(topic, ".")
+	for i, p := range ps {
+		if p == "**" {
+			// Final segment by validation: matches one or more remaining.
+			return len(ts) > i
+		}
+		if i >= len(ts) {
+			return false
+		}
+		if p != "*" && p != ts[i] {
+			return false
+		}
+	}
+	return len(ps) == len(ts)
 }

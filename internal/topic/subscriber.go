@@ -41,9 +41,8 @@ type Subscriber struct {
 	dur       *subDurState
 }
 
-// NewSubscriber creates an inbox with bufs posted buffers (size with
-// SubscriberBuffers; endpoint depth 0 = domain default) and joins
-// topic at the given class.
+// NewSubscriber creates an inbox with bufs posted buffers (endpoint
+// depth 0 = domain default) and joins topic at the given class.
 func NewSubscriber(d *core.Domain, dir Directory, topic string, class Class, depth, bufs int) (*Subscriber, error) {
 	return newSubscriber(d, dir, topic, class, depth, bufs, nil, nil)
 }

@@ -29,8 +29,8 @@
 // Flow control is per topic: each Subscriber owns a private posted
 // buffer pool (its Inbox), so a hot topic exhausts its own credit, not
 // its neighbors'; each Publisher's outbox pool bounds the topic's
-// outstanding fanout frames. Size both with SubscriberBuffers /
-// PublisherWindow, which apply internal/flowctl's static sizing rules.
+// outstanding fanout frames. Size the outbox with PublisherWindow,
+// which applies internal/flowctl's static sizing rule.
 package topic
 
 import (
@@ -293,16 +293,6 @@ func (r RemoteDirectory) UpsertPresence(key, gw string, addr core.Addr) error {
 // DropPresence implements EdgeDirectory.
 func (r RemoteDirectory) DropPresence(key string) error {
 	return r.C.DropPresence(key, r.timeout())
-}
-
-// SubscriberBuffers sizes a subscriber's posted-buffer pool for a
-// periodic publisher: enough credit to absorb rate messages per drain
-// period across two periods of consumer jitter (flowctl's periodic
-// sizing rule). This pool is the topic's receive-side credit — private
-// per subscription, so one saturated topic cannot starve another's
-// buffers.
-func SubscriberBuffers(rate int) int {
-	return flowctl.PeriodicBuffers(rate, 2)
 }
 
 // PublisherWindow sizes a publisher's outbox pool — the topic's bound

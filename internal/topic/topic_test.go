@@ -285,9 +285,6 @@ func TestPublisherValidation(t *testing.T) {
 }
 
 func TestSizingHelpers(t *testing.T) {
-	if SubscriberBuffers(10) != 20 {
-		t.Fatalf("SubscriberBuffers(10) = %d", SubscriberBuffers(10))
-	}
 	if PublisherWindow(8, 4) != 32 {
 		t.Fatalf("PublisherWindow(8,4) = %d", PublisherWindow(8, 4))
 	}
