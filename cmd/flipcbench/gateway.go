@@ -2,10 +2,8 @@ package main
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"os/exec"
@@ -15,13 +13,9 @@ import (
 	"syscall"
 	"time"
 
-	"flipc/internal/core"
 	"flipc/internal/gateway"
-	"flipc/internal/interconnect"
 	"flipc/internal/nameservice"
-	"flipc/internal/stats"
 	"flipc/internal/topic"
-	"flipc/internal/wire"
 )
 
 // The gateway benchmark: wall-clock edge plane throughput and one-way
@@ -81,7 +75,7 @@ func runGatewayBench(path, sizesCSV string, rounds int) error {
 		}
 		sizes = append(sizes, n)
 	}
-	report := gwBenchReport{Benchmark: "gateway_edge", MessageSize: 128}
+	report := gwBenchReport{Benchmark: "gateway_edge", MessageSize: msgSize}
 	for _, n := range sizes {
 		res, err := gatewayBenchOne(n, rounds)
 		if err != nil {
@@ -94,18 +88,7 @@ func runGatewayBench(path, sizesCSV string, rounds int) error {
 				pc.Class, pc.Clients, pc.LatencyP50, pc.LatencyP99, pc.Delivered, pc.QueueDrops, pc.Samples)
 		}
 	}
-	var out io.Writer = os.Stdout
-	if path != "" && path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(report)
+	return writeReport(path, report)
 }
 
 // benchClasses maps class index to the topic each publisher drives and
@@ -132,32 +115,12 @@ const gwAckTopic = "bench.ack"
 func gatewayBenchOne(nClients, rounds int) (gwBenchResult, error) {
 	raiseFDLimit()
 
-	fabric := interconnect.NewFabric(4096)
-	mkDomain := func(node wire.NodeID) (*core.Domain, error) {
-		tr, err := fabric.Attach(node)
-		if err != nil {
-			return nil, err
-		}
-		d, err := core.NewDomain(core.Config{
-			Node: node, MessageSize: 128,
-			NumBuffers: 2048, MaxEndpoints: 64, DefaultQueueDepth: 64,
-		}, tr)
-		if err != nil {
-			return nil, err
-		}
-		d.Start()
-		return d, nil
-	}
-	gwD, err := mkDomain(0)
+	ds, closeAll, err := fabricDomains(2)
 	if err != nil {
 		return gwBenchResult{}, err
 	}
-	defer gwD.Close()
-	pubD, err := mkDomain(1)
-	if err != nil {
-		return gwBenchResult{}, err
-	}
-	defer pubD.Close()
+	defer closeAll()
+	gwD, pubD := ds[0], ds[1]
 
 	dir := topic.LocalDirectory{R: nameservice.NewTopicRegistry()}
 	mux, err := gateway.NewMux(gwD, gateway.Config{
@@ -263,7 +226,7 @@ func gatewayBenchOne(nClients, rounds int) (gwBenchResult, error) {
 	for r := 0; r < rounds; r++ {
 		next := time.Now().Add(minGap)
 		for lane := range benchClasses {
-			binary.BigEndian.PutUint64(payload[:8], uint64(time.Now().UnixNano()))
+			stamp(payload)
 			if _, err := pubs[lane].Publish(payload); err != nil {
 				return gwBenchResult{}, err
 			}
@@ -293,28 +256,24 @@ func gatewayBenchOne(nClients, rounds int) (gwBenchResult, error) {
 	for _, p := range pubs {
 		wantArrived += p.Sent()
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
+	var matched, accounted uint64
+	queued := 0
+	if !waitUntil(10*time.Second, func() bool {
 		st := mux.Stats()
 		arrived := st.Received
 		for lane := 0; lane < gateway.NumClasses; lane++ {
 			arrived += mux.InboxDrops(lane)
 		}
-		var del, drop, thr uint64
-		queued := 0
+		matched, accounted, queued = st.Matched, 0, 0
 		for _, c := range mux.Clients() {
 			d, dr, th := c.Ledgers()
-			del, drop, thr = del+d, drop+dr, thr+th
+			accounted += d + dr + th
 			queued += c.Queued()
 		}
-		if arrived == wantArrived && queued == 0 && st.Matched == del+drop+thr {
-			break
-		}
-		if time.Now().After(deadline) {
-			return gwBenchResult{}, fmt.Errorf("gateway never quiesced: matched %d, accounted %d, queued %d",
-				st.Matched, del+drop+thr, queued)
-		}
-		time.Sleep(time.Millisecond)
+		return arrived == wantArrived && queued == 0 && matched == accounted
+	}) {
+		return gwBenchResult{}, fmt.Errorf("gateway never quiesced: matched %d, accounted %d, queued %d",
+			matched, accounted, queued)
 	}
 
 	// Attribute the mux ledgers per class before teardown (clients
@@ -500,8 +459,7 @@ func runGatewayDriver(addr string, n int) error {
 				}
 				cs.recv++
 				if len(fr.Payload) >= 8 {
-					sent := int64(binary.BigEndian.Uint64(fr.Payload[:8]))
-					cs.lat = append(cs.lat, float64(time.Now().UnixNano()-sent)/1e3)
+					cs.lat = append(cs.lat, stampSample(fr.Payload).latUs)
 				}
 				if ack {
 					if err := cs.conn.Publish(gwAckTopic, topic.Normal, fr.Payload[:8]); err != nil {
@@ -522,17 +480,7 @@ func runGatewayDriver(addr string, n int) error {
 	}
 	for lane := range lats {
 		out.PerClass[lane].Samples = len(lats[lane])
-		if len(lats[lane]) > 0 {
-			p50, err := stats.Percentile(lats[lane], 50)
-			if err != nil {
-				return err
-			}
-			p99, err := stats.Percentile(lats[lane], 99)
-			if err != nil {
-				return err
-			}
-			out.PerClass[lane].P50, out.PerClass[lane].P99 = p50, p99
-		}
+		out.PerClass[lane].P50, out.PerClass[lane].P99 = p50p99(lats[lane])
 	}
 	enc, err := json.Marshal(out)
 	if err != nil {

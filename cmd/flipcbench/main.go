@@ -20,105 +20,6 @@ import (
 	"flipc/internal/experiments"
 )
 
-type entry struct {
-	id, what string
-	run      func(seed int64) (experiments.Table, error)
-}
-
-var entries = []entry{
-	{"E1", "Figure 4: latency vs message size", func(s int64) (experiments.Table, error) {
-		r, err := experiments.E1Figure4(s)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table, nil
-	}},
-	{"E2", "120-byte latency across Paragon messaging systems", func(s int64) (experiments.Table, error) {
-		r, err := experiments.E2Comparison(s)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table, nil
-	}},
-	{"E3", "validity-check overhead", func(s int64) (experiments.Table, error) {
-		r, err := experiments.E3ValidityChecks(s)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table, nil
-	}},
-	{"E4", "cache-tuning ablation (locks + false sharing)", func(s int64) (experiments.Table, error) {
-		r, err := experiments.E4CacheAblation(s)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table, nil
-	}},
-	{"E5", "cold-start anomaly", func(s int64) (experiments.Table, error) {
-		r, err := experiments.E5ColdStart(s)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table, nil
-	}},
-	{"E6", "bandwidth implied by the slope", func(s int64) (experiments.Table, error) {
-		r, err := experiments.E6BandwidthSlope(s)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table, nil
-	}},
-	{"E7", "small-message crossover vs PAM", func(s int64) (experiments.Table, error) {
-		r, err := experiments.E7SmallMessageCrossover(s)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table, nil
-	}},
-	{"E8", "large-message throughput positioning", func(s int64) (experiments.Table, error) {
-		r, err := experiments.E8LargeMessageThroughput(s)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table, nil
-	}},
-	{"E9", "drop semantics and layered flow control", func(s int64) (experiments.Table, error) {
-		r, err := experiments.E9DropsAndFlowControl(s)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table, nil
-	}},
-	{"E10", "KKT development binding vs native engine", func(s int64) (experiments.Table, error) {
-		r, err := experiments.E10KKTVsNative(s)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table, nil
-	}},
-	{"A1", "ablation: engine poll cadence", func(s int64) (experiments.Table, error) {
-		r, err := experiments.A1PollInterval(s)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table, nil
-	}},
-	{"A2", "ablation: prioritized transport extension", func(s int64) (experiments.Table, error) {
-		r, err := experiments.A2PriorityTransport(s)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table, nil
-	}},
-	{"A3", "ablation: receive window vs burst loss", func(s int64) (experiments.Table, error) {
-		r, err := experiments.A3ReceiveWindow(s)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table, nil
-	}},
-}
-
 func main() {
 	var (
 		exp       = flag.String("experiment", "all", "experiment ID (E1..E10, A1..A3) or 'all'")
@@ -137,40 +38,28 @@ func main() {
 	)
 	flag.Parse()
 
-	if *gwDrive != "" {
-		if err := runGatewayDriver(*gwDrive, *gwDriveN); err != nil {
-			fmt.Fprintf(os.Stderr, "flipcbench: gwdrive: %v\n", err)
-			os.Exit(1)
+	for _, m := range []struct {
+		on   bool
+		name string
+		run  func() error
+	}{
+		{*gwDrive != "", "gwdrive", func() error { return runGatewayDriver(*gwDrive, *gwDriveN) }},
+		{*gatew, "gateway", func() error { return runGatewayBench(*jsonPath, *gwSizes, *gwRounds) }},
+		{*agg, "agg", func() error { return runAgg(*jsonPath, *publishes) }},
+		{*pubsub, "pubsub", func() error { return runPubsub(*jsonPath, *publishes) }},
+	} {
+		if m.on {
+			if err := m.run(); err != nil {
+				fmt.Fprintf(os.Stderr, "flipcbench: %s: %v\n", m.name, err)
+				os.Exit(1)
+			}
+			return
 		}
-		return
-	}
-	if *gatew {
-		if err := runGatewayBench(*jsonPath, *gwSizes, *gwRounds); err != nil {
-			fmt.Fprintf(os.Stderr, "flipcbench: gateway: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *agg {
-		if err := runAgg(*jsonPath, *publishes); err != nil {
-			fmt.Fprintf(os.Stderr, "flipcbench: agg: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *pubsub {
-		if err := runPubsub(*jsonPath, *publishes); err != nil {
-			fmt.Fprintf(os.Stderr, "flipcbench: pubsub: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *list {
-		for _, e := range entries {
-			fmt.Printf("%-4s %s\n", e.id, e.what)
+		for _, e := range experiments.Catalog {
+			fmt.Printf("%-4s %s\n", e.ID, e.Title)
 		}
 		return
 	}
@@ -182,11 +71,11 @@ func main() {
 		}
 		return
 	}
-	for _, e := range entries {
-		if e.id == want {
-			t, err := e.run(*seed)
+	for _, e := range experiments.Catalog {
+		if e.ID == want {
+			t, err := e.Run(*seed)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "flipcbench: %s: %v\n", e.id, err)
+				fmt.Fprintf(os.Stderr, "flipcbench: %s: %v\n", e.ID, err)
 				os.Exit(1)
 			}
 			var perr error

@@ -1,22 +1,13 @@
 package main
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
-	"runtime"
-	"sync"
 	"time"
 
-	"flipc/internal/core"
 	"flipc/internal/duralog"
-	"flipc/internal/interconnect"
 	"flipc/internal/nameservice"
-	"flipc/internal/stats"
 	"flipc/internal/topic"
-	"flipc/internal/wire"
 )
 
 // The pub/sub benchmark: wall-clock fanout throughput and one-way
@@ -65,7 +56,7 @@ type pubsubReport struct {
 // to path ("-" or "" = stdout only; a file also gets a human summary on
 // stdout).
 func runPubsub(path string, publishes int) error {
-	report := pubsubReport{Benchmark: "pubsub_fanout", MessageSize: 128, Class: topic.Normal.String()}
+	report := pubsubReport{Benchmark: "pubsub_fanout", MessageSize: msgSize, Class: topic.Normal.String()}
 	matrix := []struct {
 		scenario string
 		subs     int
@@ -104,18 +95,7 @@ func runPubsub(path string, publishes int) error {
 			m.scenario, r.Subscribers, r.PublishPerSec, r.FramesPerSec, r.LatencyP50Us, r.LatencyP99Us,
 			r.Delivered, r.FanoutDropped, r.RecvDropped, r.Throttled)
 	}
-	var out io.Writer = os.Stdout
-	if path != "" && path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(report)
+	return writeReport(path, report)
 }
 
 // pubsubOne runs one cell. payloadBytes pads every publish to that
@@ -129,49 +109,35 @@ func runPubsub(path string, publishes int) error {
 // from the latency sample — they measure recovery, not the pipeline).
 func pubsubOne(subs, publishes, payloadBytes int, slow, credit, durable bool) (pubsubResult, error) {
 	const (
-		msgSize  = 128
 		subNodes = 4 // subscriber domains; fanout spreads round-robin
 		subBufs  = 64
 	)
-	fabric := interconnect.NewFabric(4096)
-	mkDomain := func(node wire.NodeID) (*core.Domain, error) {
-		tr, err := fabric.Attach(node)
-		if err != nil {
-			return nil, err
-		}
-		d, err := core.NewDomain(core.Config{
-			Node: node, MessageSize: msgSize,
-			NumBuffers: 2048, MaxEndpoints: 64, DefaultQueueDepth: 64,
-		}, tr)
-		if err != nil {
-			return nil, err
-		}
-		d.Start()
-		return d, nil
-	}
-	pubD, err := mkDomain(0)
+	ds, closeAll, err := fabricDomains(1 + subNodes)
 	if err != nil {
 		return pubsubResult{}, err
 	}
-	defer pubD.Close()
-	var subDs []*core.Domain
-	for n := 1; n <= subNodes; n++ {
-		d, err := mkDomain(wire.NodeID(n))
-		if err != nil {
-			return pubsubResult{}, err
-		}
-		defer d.Close()
-		subDs = append(subDs, d)
+	defer closeAll()
+	pubD, subDs := ds[0], ds[1:]
+
+	// The paced publish gap (below) sets the offered rate; the slow
+	// subscriber consumes one message per slowdown gaps.
+	gap := time.Duration(subs)*2*time.Microsecond + 10*time.Microsecond
+	if durable {
+		// The baseline pacing deliberately overdrives the engine a few
+		// percent; those window drops are counted loss there. On a
+		// durable topic the same backpressure instant re-enters the
+		// subscriber into journal catch-up, and the replay pump riding
+		// each publish keeps the congestion alive — the row would
+		// measure a self-sustaining replay collapse, not the tap. Pace
+		// at the durable pipeline's sustainable rate so the seam stays
+		// live and p50/p99 price the journal append + seq prefix.
+		gap *= 2
 	}
+	const slowdown = 20
 
 	dir := topic.LocalDirectory{R: nameservice.NewTopicRegistry()}
-	type subRun struct {
-		s    *topic.Subscriber
-		slow bool
-		lat  []float64
-	}
-	runs := make([]*subRun, subs)
-	for i := range runs {
+	sinks := make([]*sink, subs)
+	for i := range sinks {
 		var s *topic.Subscriber
 		var err error
 		switch {
@@ -187,8 +153,12 @@ func pubsubOne(subs, publishes, payloadBytes int, slow, credit, durable bool) (p
 		if err != nil {
 			return pubsubResult{}, err
 		}
-		runs[i] = &subRun{s: s, slow: slow && i == 0}
+		sinks[i] = &sink{s: s, renew: durable}
+		if slow && i == 0 {
+			sinks[i].delay = slowdown * gap
+		}
 	}
+
 	window := topic.PublisherWindow(subs, 4)
 	if window < 64 {
 		window = 64
@@ -229,186 +199,89 @@ func pubsubOne(subs, publishes, payloadBytes int, slow, credit, durable bool) (p
 	// this goroutine while it still owns the inboxes, so the measured
 	// phase runs entirely on the live path.
 	if durable {
-		deadline := time.Now().Add(2 * time.Second)
-		for {
+		var renewErr error
+		locked := waitUntil(2*time.Second, func() bool {
 			locked := true
-			for _, r := range runs {
+			for _, k := range sinks {
 				for {
-					if _, _, ok := r.s.Receive(); !ok {
+					if _, _, ok := k.s.Receive(); !ok {
 						break
 					}
 				}
-				if err := r.s.Renew(); err != nil {
-					return pubsubResult{}, err
+				if renewErr = k.s.Renew(); renewErr != nil {
+					return true
 				}
-				locked = locked && r.s.DurableLocked()
+				locked = locked && k.s.DurableLocked()
 			}
 			pub.PumpReplay(0)
-			if locked {
-				break
-			}
-			if time.Now().After(deadline) {
-				return pubsubResult{}, fmt.Errorf("durable seam handshake incomplete")
-			}
-			time.Sleep(time.Millisecond)
+			return locked
+		})
+		if renewErr != nil {
+			return pubsubResult{}, renewErr
+		}
+		if !locked {
+			return pubsubResult{}, fmt.Errorf("durable seam handshake incomplete")
 		}
 	}
 
-	// The paced publish gap (below) sets the offered rate; the slow
-	// subscriber consumes one message per slowdown gaps.
-	gap := time.Duration(subs)*2*time.Microsecond + 10*time.Microsecond
-	if durable {
-		// The baseline pacing deliberately overdrives the engine a few
-		// percent; those window drops are counted loss there. On a
-		// durable topic the same backpressure instant re-enters the
-		// subscriber into journal catch-up, and the replay pump riding
-		// each publish keeps the congestion alive — the row would
-		// measure a self-sustaining replay collapse, not the tap. Pace
-		// at the durable pipeline's sustainable rate so the seam stays
-		// live and p50/p99 price the journal append + seq prefix.
-		gap *= 2
-	}
-	const slowdown = 20
-
-	// Drain goroutines: one per subscriber (each inbox is
-	// single-threaded, each goroutine owns exactly one). They stop when
-	// the publisher closes done and the inbox runs dry.
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for _, r := range runs {
-		r := r
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			idle, spins := 0, 0
-			for {
-				payload, flags, ok := r.s.Receive()
-				if !ok {
-					select {
-					case <-done:
-						idle++
-						if idle > 100 {
-							return
-						}
-					default:
-					}
-					spins++
-					if durable && spins%20 == 0 {
-						// Ack/resume cadence: heals tail loss and moves
-						// the cursor so the run can quiesce. The drain
-						// goroutine owns the subscriber, so Renew is its
-						// call to make.
-						_ = r.s.Renew()
-					}
-					time.Sleep(50 * time.Microsecond)
-					continue
-				}
-				idle = 0
-				if len(payload) >= 8 && flags&topic.ReplayFlag == 0 {
-					sent := int64(binary.BigEndian.Uint64(payload[:8]))
-					r.lat = append(r.lat, float64(time.Now().UnixNano()-sent)/1e3)
-				}
-				if r.slow {
-					time.Sleep(slowdown * gap)
-				}
-			}
-		}()
-	}
+	stop := drain(sinks)
+	defer stop()
 
 	// Credit handshake before the clock starts: hellos answered, every
 	// account live, so the measured phase runs fully credited.
-	if credit {
-		deadline := time.Now().Add(2 * time.Second)
-		for pub.CreditAdverts() < subs {
-			if time.Now().After(deadline) {
-				close(done)
-				wg.Wait()
-				return pubsubResult{}, fmt.Errorf("credit handshake incomplete: %d/%d adverts", pub.CreditAdverts(), subs)
-			}
-			time.Sleep(time.Millisecond)
-		}
+	if credit && !waitUntil(2*time.Second, func() bool { return pub.CreditAdverts() >= subs }) {
+		return pubsubResult{}, fmt.Errorf("credit handshake incomplete: %d/%d adverts", pub.CreditAdverts(), subs)
 	}
 
 	// Paced publish loop: a gap proportional to fanout keeps the
 	// offered load near the engine's sustainable rate so latency
-	// measures the pipeline, not an unbounded backlog. The wait spins
-	// on the clock (time.Sleep granularity is too coarse at these
-	// gaps) but yields each turn so the engine goroutines make
-	// progress on small core counts.
+	// measures the pipeline, not an unbounded backlog.
 	if payloadBytes < 8 {
 		payloadBytes = 8
 	}
-	payload := make([]byte, payloadBytes)
-	t0 := time.Now()
-	next := t0
-	for i := 0; i < publishes; i++ {
-		for time.Now().Before(next) {
-			if durable {
-				// Housekeeping pump in the pacing gap: a heal round
-				// opened by a backpressure deferral lands as soon as the
-				// engine frees a slot, instead of waiting for the next
-				// publish to drive it.
-				pub.PumpReplay(0)
-			}
-			runtime.Gosched()
-		}
-		next = next.Add(gap)
-		binary.BigEndian.PutUint64(payload[:8], uint64(time.Now().UnixNano()))
-		if _, err := pub.Publish(payload); err != nil {
-			return pubsubResult{}, err
-		}
+	var pumpReplay func()
+	if durable {
+		// Housekeeping pump in the pacing gap: a heal round opened by a
+		// backpressure deferral lands as soon as the engine frees a
+		// slot, instead of waiting for the next publish to drive it.
+		pumpReplay = func() { pub.PumpReplay(0) }
+	}
+	t0, err := publishPaced(publishes, gap, nil, pumpReplay, make([]byte, payloadBytes),
+		func(b []byte) error { _, err := pub.Publish(b); return err })
+	if err != nil {
+		return pubsubResult{}, err
 	}
 	elapsed := time.Since(t0)
+	// The fanout law. Durable conservation is stronger: every loss
+	// heals by replay, so the run quiesces only when every subscriber
+	// has every publish — exactly once, nothing outstanding.
+	balanced := func() bool {
+		delivered, dropped := received(sinks...)
+		if durable {
+			return delivered == pub.Published()*uint64(subs)
+		}
+		return delivered+dropped+pub.Dropped()+pub.Throttled() == pub.Published()*uint64(subs)
+	}
 	// Let in-flight frames land, then stop the drains. The slow
 	// subscriber needs real time: up to a full inbox at its sleep rate.
-	settle := 2*time.Second + time.Duration(subBufs)*slowdown*gap
-	deadline := time.Now().Add(settle)
-	for time.Now().Before(deadline) {
-		var got uint64
-		for _, r := range runs {
-			got += r.s.Received() + r.s.AppDrops()
-		}
+	waitUntil(2*time.Second+time.Duration(subBufs)*slowdown*gap, func() bool {
 		if durable {
-			// Durable conservation is stronger: every loss heals by
-			// replay, so the run quiesces only when every subscriber has
-			// every publish — exactly once, nothing outstanding.
 			pub.PumpReplay(0)
-			var dgot uint64
-			for _, r := range runs {
-				dgot += r.s.Received()
-			}
-			if dgot == pub.Published()*uint64(subs) {
-				break
-			}
-		} else if got+pub.Dropped()+pub.Throttled() == pub.Published()*uint64(subs) {
-			break
 		}
-		time.Sleep(time.Millisecond)
-	}
-	close(done)
-	wg.Wait()
+		return balanced()
+	})
+	stop()
 
-	var delivered, recvDropped uint64
-	var lat []float64
-	for _, r := range runs {
-		delivered += r.s.Received()
-		// AppDrops, not Drops: endpoint discards of publisher hello
-		// frames are control-plane losses outside the pub ledgers, and
-		// counting them here would break the equation below.
-		recvDropped += r.s.AppDrops()
-		if !r.slow {
-			lat = append(lat, r.lat...)
-		}
+	delivered, recvDropped := received(sinks...)
+	if !balanced() {
+		return pubsubResult{}, fmt.Errorf("conservation violated (durable %v): %d delivered + %d recv-dropped + %d pub-dropped + %d throttled != %d published x %d (stranded %d)",
+			durable, delivered, recvDropped, pub.Dropped(), pub.Throttled(), pub.Published(), subs, pub.ReplayStranded())
 	}
-	if durable {
-		if delivered != pub.Published()*uint64(subs) {
-			return pubsubResult{}, fmt.Errorf("durable conservation violated: %d delivered != %d published x %d (stranded %d)",
-				delivered, pub.Published(), subs, pub.ReplayStranded())
-		}
-	} else if delivered+recvDropped+pub.Dropped()+pub.Throttled() != pub.Published()*uint64(subs) {
-		return pubsubResult{}, fmt.Errorf("conservation violated: %d delivered + %d recv-dropped + %d pub-dropped + %d throttled != %d published x %d",
-			delivered, recvDropped, pub.Dropped(), pub.Throttled(), pub.Published(), subs)
+	fast := sinks // the slow subscriber's latency is its own sleep
+	if slow {
+		fast = sinks[1:]
 	}
+	lat := latencies(fast, nil)
 	res := pubsubResult{
 		PayloadBytes:  payloadBytes,
 		Subscribers:   subs,
@@ -424,16 +297,6 @@ func pubsubOne(subs, publishes, payloadBytes int, slow, credit, durable bool) (p
 		FramesPerSec:  float64(pub.Sent()) / elapsed.Seconds(),
 		Samples:       len(lat),
 	}
-	if len(lat) > 0 {
-		p50, err := stats.Percentile(lat, 50)
-		if err != nil {
-			return pubsubResult{}, err
-		}
-		p99, err := stats.Percentile(lat, 99)
-		if err != nil {
-			return pubsubResult{}, err
-		}
-		res.LatencyP50Us, res.LatencyP99Us = p50, p99
-	}
+	res.LatencyP50Us, res.LatencyP99Us = p50p99(lat)
 	return res, nil
 }

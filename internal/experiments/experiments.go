@@ -437,31 +437,33 @@ func humanBytes(n int) string {
 	}
 }
 
+// Catalog lists every experiment in report order: its ID, its title
+// and the run that regenerates its table for a jitter seed.
+var Catalog = []struct {
+	ID, Title string
+	Run       func(seed int64) (Table, error)
+}{
+	{"E1", "Figure 4: latency vs message size", tableOf(E1Figure4)},
+	{"E2", "120-byte latency across Paragon messaging systems", tableOf(E2Comparison)},
+	{"E3", "validity-check overhead", tableOf(E3ValidityChecks)},
+	{"E4", "cache-tuning ablation (locks + false sharing)", tableOf(E4CacheAblation)},
+	{"E5", "cold-start anomaly", tableOf(E5ColdStart)},
+	{"E6", "bandwidth implied by the slope", tableOf(E6BandwidthSlope)},
+	{"E7", "small-message crossover vs PAM", tableOf(E7SmallMessageCrossover)},
+	{"E8", "large-message throughput positioning", tableOf(E8LargeMessageThroughput)},
+	{"E9", "drop semantics and layered flow control", tableOf(E9DropsAndFlowControl)},
+	{"E10", "KKT development binding vs native engine", tableOf(E10KKTVsNative)},
+	{"A1", "ablation: engine poll cadence", tableOf(A1PollInterval)},
+	{"A2", "ablation: prioritized transport extension", tableOf(A2PriorityTransport)},
+	{"A3", "ablation: receive window vs burst loss", tableOf(A3ReceiveWindow)},
+}
+
 // RunAll executes every experiment and prints its table.
 func RunAll(w io.Writer, seed int64) error {
-	type runner struct {
-		name string
-		fn   func() (Table, error)
-	}
-	runners := []runner{
-		{"E1", func() (Table, error) { r, err := E1Figure4(seed); return tableOf(r, err) }},
-		{"E2", func() (Table, error) { r, err := E2Comparison(seed); return tableOf(r, err) }},
-		{"E3", func() (Table, error) { r, err := E3ValidityChecks(seed); return tableOf(r, err) }},
-		{"E4", func() (Table, error) { r, err := E4CacheAblation(seed); return tableOf(r, err) }},
-		{"E5", func() (Table, error) { r, err := E5ColdStart(seed); return tableOf(r, err) }},
-		{"E6", func() (Table, error) { r, err := E6BandwidthSlope(seed); return tableOf(r, err) }},
-		{"E7", func() (Table, error) { r, err := E7SmallMessageCrossover(seed); return tableOf(r, err) }},
-		{"E8", func() (Table, error) { r, err := E8LargeMessageThroughput(seed); return tableOf(r, err) }},
-		{"E9", func() (Table, error) { r, err := E9DropsAndFlowControl(seed); return tableOf(r, err) }},
-		{"E10", func() (Table, error) { r, err := E10KKTVsNative(seed); return tableOf(r, err) }},
-		{"A1", func() (Table, error) { r, err := A1PollInterval(seed); return tableOf(r, err) }},
-		{"A2", func() (Table, error) { r, err := A2PriorityTransport(seed); return tableOf(r, err) }},
-		{"A3", func() (Table, error) { r, err := A3ReceiveWindow(seed); return tableOf(r, err) }},
-	}
-	for _, r := range runners {
-		t, err := r.fn()
+	for _, e := range Catalog {
+		t, err := e.Run(seed)
 		if err != nil {
-			return fmt.Errorf("%s: %w", r.name, err)
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		if err := t.Fprint(w); err != nil {
 			return err
@@ -470,13 +472,15 @@ func RunAll(w io.Writer, seed int64) error {
 	return nil
 }
 
-// tableOf extracts the Table field from any experiment result via the
-// small interface below.
-func tableOf(r interface{ table() Table }, err error) (Table, error) {
-	if err != nil {
-		return Table{}, err
+// tableOf adapts an experiment's typed run to the catalog's signature.
+func tableOf[R interface{ table() Table }](run func(int64) (R, error)) func(int64) (Table, error) {
+	return func(seed int64) (Table, error) {
+		r, err := run(seed)
+		if err != nil {
+			return Table{}, err
+		}
+		return r.table(), nil
 	}
-	return r.table(), nil
 }
 
 func (r *E1Result) table() Table  { return r.Table }

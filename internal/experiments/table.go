@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
@@ -68,33 +69,9 @@ func (t Table) Fprint(w io.Writer) error {
 // Fcsv renders the table as CSV (header row then data rows), for
 // feeding plots — the Figure 4 series, the E7/E8 sweeps.
 func (t Table) Fcsv(w io.Writer) error {
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return "\"" + strings.ReplaceAll(s, "\"", "\"\"") + "\""
-		}
-		return s
-	}
-	row := func(cells []string) error {
-		for i, c := range cells {
-			if i > 0 {
-				if _, err := io.WriteString(w, ","); err != nil {
-					return err
-				}
-			}
-			if _, err := io.WriteString(w, esc(c)); err != nil {
-				return err
-			}
-		}
-		_, err := io.WriteString(w, "\n")
+	cw := csv.NewWriter(w)
+	if err := cw.Write(t.Columns); err != nil {
 		return err
 	}
-	if err := row(t.Columns); err != nil {
-		return err
-	}
-	for _, r := range t.Rows {
-		if err := row(r); err != nil {
-			return err
-		}
-	}
-	return nil
+	return cw.WriteAll(t.Rows)
 }
