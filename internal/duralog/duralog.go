@@ -13,7 +13,7 @@
 //     short by a crash mid-write was never acknowledged durable, so
 //     recovery drops it exactly;
 //   - fsync by record class: payload appends group-commit every
-//     SyncEvery records (a crash loses at most the unsynced window —
+//     syncEvery records (a crash loses at most the unsynced window —
 //     bounded, counted, and no worse than the optimistic baseline),
 //     while cursor acks are never synced: a lost ack re-merges from
 //     the next in-band acknowledgement, and cursors only move forward;
@@ -92,9 +92,6 @@ var ErrTooLarge = errors.New("duralog: payload too large")
 type Options struct {
 	// SegmentBytes is the rotation threshold (default 1 MiB).
 	SegmentBytes int
-	// SyncEvery is the payload group-commit interval: every Nth payload
-	// append flushes and fsyncs (default 256; 1 syncs every append).
-	SyncEvery int
 	// NoSync disables fsync entirely (tests and benchmarks).
 	NoSync bool
 	// MaxSegments caps retained segments; 0 means unbounded. When the
@@ -107,10 +104,11 @@ func (o *Options) applyDefaults() {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 1 << 20
 	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 256
-	}
 }
+
+// syncEvery is the payload group-commit interval: every syncEvery-th
+// payload append flushes and fsyncs.
+const syncEvery = 256
 
 // idxEvery is the sparse-index stride: one (sequence, offset) entry per
 // this many payload records. Replay seeks to the nearest indexed record
@@ -350,7 +348,7 @@ func segName(first uint64) string {
 
 // Append journals one payload with its publish-time wire flags,
 // returning the assigned sequence. The write lands in the group-commit
-// buffer; every SyncEvery-th append flushes and fsyncs.
+// buffer; every syncEvery-th append flushes and fsyncs.
 func (l *Log) Append(flags uint8, payload []byte) (uint64, error) {
 	if len(payload) > MaxPayload {
 		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
@@ -375,7 +373,7 @@ func (l *Log) Append(flags uint8, payload []byte) (uint64, error) {
 	l.head = seq
 	l.appended++
 	l.unsynced++
-	if l.unsynced >= l.opt.SyncEvery {
+	if l.unsynced >= syncEvery {
 		if err := l.syncLocked(); err != nil {
 			return 0, err
 		}

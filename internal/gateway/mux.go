@@ -35,9 +35,6 @@ type Config struct {
 	// in the client's Throttled ledger, mirroring the publisher-side
 	// credit discipline.
 	ThrottleAt int
-	// PubWindow bounds each cached publisher's outstanding fanout
-	// frames (default 64).
-	PubWindow int
 	// MaxPublishers bounds the per-topic publisher cache (default 64).
 	// Evictions free the publisher's endpoint; a topic published again
 	// later gets a fresh one.
@@ -48,6 +45,9 @@ type Config struct {
 
 // NumClasses is the number of priority lanes a gateway terminates.
 const NumClasses = 3
+
+// pubWindow bounds each cached publisher's outstanding fanout frames.
+const pubWindow = 64
 
 func (c *Config) fill() error {
 	if c.Name == "" {
@@ -67,9 +67,6 @@ func (c *Config) fill() error {
 	}
 	if c.ThrottleAt <= 0 {
 		c.ThrottleAt = 16
-	}
-	if c.PubWindow <= 0 {
-		c.PubWindow = 64
 	}
 	if c.MaxPublishers <= 0 {
 		c.MaxPublishers = 64
@@ -688,7 +685,7 @@ func (m *Mux) publisherLocked(topicName string, class topic.Class) (*topic.Publi
 	p, err := topic.NewPublisher(m.d, m.dir, topic.PublisherConfig{
 		Topic:  topicName,
 		Class:  class,
-		Window: m.cfg.PubWindow,
+		Window: pubWindow,
 	})
 	if err != nil {
 		return nil, err

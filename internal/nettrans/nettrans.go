@@ -97,10 +97,6 @@ func (s PeerState) String() string {
 
 // ReconnectConfig tunes the redial state machine.
 type ReconnectConfig struct {
-	// Disabled turns off active redialing. Peers still transition to
-	// reconnecting on failure and revive on inbound hellos; they are
-	// just never dialed from this side.
-	Disabled bool
 	// InitialBackoff is the delay before the first redial (default 10ms).
 	InitialBackoff time.Duration
 	// MaxBackoff caps the exponential backoff (default 2s).
@@ -509,7 +505,7 @@ func (t *Transport) connFailedLocked(p *peer, conn net.Conn, err error) {
 // kickRedialLocked starts the redial goroutine for p if active
 // reconnection applies. Caller holds p.mu.
 func (t *Transport) kickRedialLocked(p *peer) {
-	if t.cfg.Reconnect.Disabled || p.redialing || t.isClosed() {
+	if p.redialing || t.isClosed() {
 		return
 	}
 	if p.addr == "" && t.cfg.Resolver == nil {

@@ -74,22 +74,6 @@ func NewSubscriberDurable(d *core.Domain, dir Directory, topic string, class Cla
 	return newSubscriber(d, dir, topic, class|Durable, depth, bufs, nil, ds)
 }
 
-// NewSubscriberDurableCredit combines the durable replay seam with
-// dynamic receive credit — the configuration for a slow durable
-// consumer, where credit steers the live stream away from overrun
-// while the cursor guarantees anything dropped anyway is replayed.
-func NewSubscriberDurableCredit(d *core.Domain, dir Directory, topic string, class Class, depth, bufs int, cc CreditConfig, name string) (*Subscriber, error) {
-	ds, err := newSubDurState(d, name)
-	if err != nil {
-		return nil, err
-	}
-	cr, err := newSubCreditState(d, cc, bufs)
-	if err != nil {
-		return nil, err
-	}
-	return newSubscriber(d, dir, topic, class|Durable, depth, bufs, cr, ds)
-}
-
 func newSubscriber(d *core.Domain, dir Directory, topic string, class Class, depth, bufs int, cr *subCreditState, ds *subDurState) (*Subscriber, error) {
 	if topic == "" {
 		return nil, fmt.Errorf("topic: subscriber needs a topic name")
