@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -211,7 +210,7 @@ func (rn *registryNode) ensureFeed() error {
 // startStandby subscribes to the primary's replication stream through
 // the remote directory and bootstraps a full-state resync.
 func (rn *registryNode) startStandby() error {
-	addr, err := parseEndpointAddr(rn.opts.StreamAddr)
+	addr, err := wire.ParseAddr(rn.opts.StreamAddr)
 	if err != nil {
 		return err
 	}
@@ -451,21 +450,4 @@ func (rn *registryNode) shardHealth() []obs.ShardJSON {
 		}
 	}
 	return out
-}
-
-// parseEndpointAddr parses a hex endpoint address as flipcd prints them
-// (with or without the 0x prefix).
-func parseEndpointAddr(s string) (wire.Addr, error) {
-	if len(s) > 2 && (s[:2] == "0x" || s[:2] == "0X") {
-		s = s[2:]
-	}
-	v, err := strconv.ParseUint(s, 16, 32)
-	if err != nil {
-		return wire.NilAddr, fmt.Errorf("flipcd: bad endpoint address %q: %w", s, err)
-	}
-	a := wire.Addr(v)
-	if !a.Valid() {
-		return wire.NilAddr, fmt.Errorf("flipcd: invalid endpoint address %q", s)
-	}
-	return a, nil
 }

@@ -123,7 +123,7 @@ func main() {
 	defer d.Close()
 	d.Start()
 
-	server, err := parseEndpointAddr(*regAddr)
+	server, err := wire.ParseAddr(*regAddr)
 	if err != nil {
 		fatal(err)
 	}
@@ -195,13 +195,13 @@ func main() {
 		h.Conns, st.Received, st.Matched, st.Unmatched, st.PubOK, st.PubErrs, h.RenewErrs)
 }
 
-// buildDirectory bootstraps the gateway's EdgeDirectory from one
+// buildDirectory bootstraps the gateway's Directory from one
 // registry server: fetch the shard map in-band; when the registry is
 // sharded, open one client per shard (at each shard's address hint)
 // behind a ShardedDirectory so topic routing, pattern broadcast, and
 // presence spreading work shard-aware; otherwise a single
 // RemoteDirectory against the bootstrap server.
-func buildDirectory(d *core.Domain, server wire.Addr, timeout time.Duration, maxRedirects int) (topic.EdgeDirectory, error) {
+func buildDirectory(d *core.Domain, server wire.Addr, timeout time.Duration, maxRedirects int) (topic.Directory, error) {
 	boot, err := nameservice.NewClient(d, server)
 	if err != nil {
 		return nil, fmt.Errorf("registry client: %w", err)
@@ -263,23 +263,6 @@ func gatewayJSON(m *gateway.Mux) func() *obs.GatewayJSON {
 		}
 		return j
 	}
-}
-
-// parseEndpointAddr parses a hex endpoint address as flipcd prints
-// them (with or without the 0x prefix).
-func parseEndpointAddr(s string) (wire.Addr, error) {
-	if len(s) > 2 && (s[:2] == "0x" || s[:2] == "0X") {
-		s = s[2:]
-	}
-	v, err := strconv.ParseUint(s, 16, 32)
-	if err != nil {
-		return wire.NilAddr, fmt.Errorf("bad endpoint address %q: %w", s, err)
-	}
-	a := wire.Addr(v)
-	if !a.Valid() {
-		return wire.NilAddr, fmt.Errorf("invalid endpoint address %q", s)
-	}
-	return a, nil
 }
 
 func fatal(err error) {

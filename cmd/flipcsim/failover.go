@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"flipc/internal/registrystore"
+	"flipc/internal/shardmap"
 	"flipc/internal/simcluster"
 	"flipc/internal/topic"
 )
@@ -13,11 +14,11 @@ import (
 // Node 0 hosts the primary registry (durable store + replication feed),
 // node 1 the standby (store + stream apply), node 2 a control-class
 // publisher, and every remaining node one subscriber — all resolving
-// through a FailoverDirectory pointed at the primary. Phase one runs
-// traffic against the primary while the standby follows the mutation
-// stream. Then the primary is killed cold (observer detached, feed
-// stopped, never notified), the standby promotes, and the workload is
-// retargeted. The scenario enforces the failover contract:
+// through a one-shard ShardedDirectory pointed at the primary. Phase
+// one runs traffic against the primary while the standby follows the
+// mutation stream. Then the primary is killed cold (observer detached,
+// feed stopped, never notified), the standby promotes, and the
+// workload is retargeted. The scenario enforces the failover contract:
 //
 //   - the standby's generation is strictly above anything the primary
 //     served, and every topic generation moved (cached plans go stale);
@@ -44,7 +45,8 @@ func runFailover(o simOpts) error {
 	// all resolving through a failover directory so a takeover is one
 	// retarget away. Subscriptions land after the standby attached, so
 	// they flow down the stream.
-	fdir := topic.NewFailoverDirectory(topic.LocalDirectory{R: reg.regP})
+	fdir := topic.NewShardedDirectory(shardmap.Restore(0, []shardmap.Entry{{ID: 0}}))
+	fdir.SetShard(0, topic.LocalDirectory{R: reg.regP})
 	var subs []*topicSub
 	for n := 3; n < o.nodes; n++ {
 		s, err := k.subscribe(n, fdir, "ctl", topic.Control)
@@ -110,7 +112,7 @@ func runFailover(o simOpts) error {
 	if genB <= reg.genP {
 		return fmt.Errorf("standby generation %d not above dead primary's %d", genB, reg.genP)
 	}
-	fdir.Retarget(topic.LocalDirectory{R: reg.regS})
+	fdir.SetShard(0, topic.LocalDirectory{R: reg.regS})
 	if err := reg.checkServed(served.Topics); err != nil {
 		return err
 	}
@@ -163,7 +165,7 @@ func runFailover(o simOpts) error {
 	fmt.Printf("flipcsim -failover: %d nodes, %d subscribers, poll %v, gap %v\n",
 		o.nodes, len(subs), o.poll, o.gap)
 	fmt.Printf("registry: primary gen %d killed after %d records; standby promoted at gen %d (epoch %d)\n",
-		reg.genP, reg.stP.Seq(), genB, fdir.Epoch())
+		reg.genP, reg.stP.Seq(), genB, fdir.Epoch(0))
 	fmt.Printf("ctl: published %d x %d subs = %d; delivered %d, recv-dropped %d, pub-dropped %d\n",
 		l.published, l.subs, l.expect, l.delivered, l.recvDrops, l.pubDrops)
 	if l.published != uint64(2*o.msgs) {

@@ -24,7 +24,7 @@ const nShards = 3
 // promotes. The scenario enforces the independence contract:
 //
 //   - the surviving shards never notice: their ctl p99 stays within
-//     1.2x their own pre-kill baseline and their FailoverDirectory
+//     1.2x their own pre-kill baseline and their shard retarget
 //     epochs never move;
 //   - zero subscriptions are lost anywhere — the killed shard's
 //     promoted standby serves a superset of the primary's last state
@@ -48,8 +48,8 @@ func runShards(o simOpts) error {
 
 	// Per-shard registry pairs: primary on node s, standby on node 3+s,
 	// each with its own WAL and its own reserved stream. The sharded
-	// directory every workload participant resolves through holds one
-	// FailoverDirectory per shard, so the kill retargets exactly one.
+	// directory every workload participant resolves through keeps one
+	// target per shard, so the kill retargets exactly one.
 	var (
 		pairs  []*registryPair
 		labels []string
@@ -166,7 +166,7 @@ func runShards(o simOpts) error {
 	}
 	epochBefore := [nShards]uint64{}
 	for s := range epochBefore {
-		epochBefore[s] = sdir.Shard(uint32(s)).Epoch()
+		epochBefore[s] = sdir.Epoch(uint32(s))
 	}
 
 	// Phase two: same traffic, with shard 1's primary killed cold
@@ -217,7 +217,7 @@ func runShards(o simOpts) error {
 
 	// Failure-domain isolation: only the victim's directory moved.
 	for s := range epochBefore {
-		got, want := sdir.Shard(uint32(s)).Epoch(), epochBefore[s]
+		got, want := sdir.Epoch(uint32(s)), epochBefore[s]
 		if s == victim {
 			want++
 		}

@@ -407,17 +407,6 @@ func (b *Buffer) ValidBufID(id uint64) bool { return id < uint64(b.cfg.NumBuffer
 // metaWordOffset returns the word offset of buffer id's meta word.
 func (b *Buffer) metaWordOffset(id int) int { return b.bufMetaBase + id*b.bufMetaStride }
 
-// MetaWordOffset returns the word offset of buffer id's meta word, for
-// fault-injection tooling that models a hostile application scribbling
-// on its own control words. Reports false for out-of-range ids.
-// Production code never needs this.
-func (b *Buffer) MetaWordOffset(id int) (int, bool) {
-	if id < 0 || id >= b.cfg.NumBuffers {
-		return 0, false
-	}
-	return b.metaWordOffset(id), true
-}
-
 // payloadOffset returns the byte offset of buffer id's payload.
 func (b *Buffer) payloadOffset(id int) int { return b.payloadBase[id] }
 
@@ -431,12 +420,6 @@ func (b *Buffer) SlotForAddrIndex(idx int) (int, bool) {
 		return 0, false
 	}
 	return slot, true
-}
-
-// EndpointRange returns this buffer's [lo, hi) endpoint-index range in
-// the node's address space.
-func (b *Buffer) EndpointRange() (lo, hi int) {
-	return b.cfg.EndpointBase, b.cfg.EndpointBase + b.cfg.MaxEndpoints
 }
 
 // NodeAllowed reports whether this buffer's applications may send to

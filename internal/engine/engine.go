@@ -148,15 +148,6 @@ type Stats struct {
 	QuarantineRecoveries uint64
 }
 
-// Faults returns the total quarantine episodes across all categories.
-func (s *Stats) Faults() uint64 {
-	var n uint64
-	for _, v := range s.EndpointFaults {
-		n += v
-	}
-	return n
-}
-
 // Engine is one node's messaging engine instance.
 type Engine struct {
 	buf     *commbuf.Buffer

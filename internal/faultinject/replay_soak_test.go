@@ -10,6 +10,7 @@ import (
 	"flipc/internal/faultinject"
 	"flipc/internal/interconnect"
 	"flipc/internal/nameservice"
+	"flipc/internal/shardmap"
 	"flipc/internal/topic"
 	"flipc/internal/wire"
 )
@@ -71,7 +72,8 @@ func TestDurableReplaySoak(t *testing.T) {
 	subD, subInj := newNode(1)
 
 	reg1 := nameservice.NewTopicRegistry()
-	dir := topic.NewFailoverDirectory(topic.LocalDirectory{R: reg1})
+	dir := topic.NewShardedDirectory(shardmap.Restore(0, []shardmap.Entry{{ID: 0}}))
+	dir.SetShard(0, topic.LocalDirectory{R: reg1})
 	log, err := duralog.Open(t.TempDir(), duralog.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +257,7 @@ func TestDurableReplaySoak(t *testing.T) {
 	reg2.RestoreState(reg1.ExportState())
 	reg2.SetRegistryGen(reg1.RegistryGen() + 1)
 	reg2.BumpTopicGens()
-	dir.Retarget(topic.LocalDirectory{R: reg2})
+	dir.SetShard(0, topic.LocalDirectory{R: reg2})
 	if err := pub.Refresh(); err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@
 //     subscriptions, the per-client wildcard index, and per-client
 //     backpressure with FLIPC's counted-loss discipline;
 //   - durability/membership: the registry, reached through a
-//     topic.EdgeDirectory — pattern subscriptions and presence leases
+//     topic.Directory — pattern subscriptions and presence leases
 //     are lease-renewed soft state there.
 package gateway
 

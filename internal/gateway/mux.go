@@ -18,7 +18,7 @@ type Config struct {
 	Name string
 	// Dir is the membership plane: patterns, presence, and the topics
 	// clients publish to (required).
-	Dir topic.EdgeDirectory
+	Dir topic.Directory
 	// InboxBuffers sizes each class inbox's posted-buffer pool and
 	// queue depth (default 128). These three pools are the gateway's
 	// entire
@@ -159,7 +159,7 @@ type pubEntry struct {
 type Mux struct {
 	cfg Config
 	d   *core.Domain
-	dir topic.EdgeDirectory
+	dir topic.Directory
 	in  [NumClasses]*msglib.Inbox
 
 	mu      sync.Mutex
@@ -231,9 +231,6 @@ func (m *Mux) instrument(reg *metrics.Registry) {
 	}
 }
 
-// LaneAddr returns the fabric address of one class lane's inbox.
-func (m *Mux) LaneAddr(lane int) core.Addr { return m.in[lane].Addr() }
-
 // Attach admits a new client session (pre-hello). The TCP front calls
 // it once per accepted connection.
 func (m *Mux) Attach() *Client {
@@ -294,8 +291,8 @@ func (m *Mux) unrefLocked(c *Client, sk subKey) {
 	}
 	delete(m.refs[sk.lane], sk.pat)
 	// Registry call outside the hot path would be nicer, but unref is
-	// rare (client churn) and the EdgeDirectory is required to be safe
-	// under the Mux lock (Local and Remote both are).
+	// rare (client churn) and the Directory is required to be safe
+	// under the Mux lock (Local, Remote and Sharded all are).
 	_ = m.dir.UnsubscribePattern(sk.pat, m.in[sk.lane].Addr())
 }
 

@@ -29,7 +29,7 @@ func newDomain(t *testing.T, fabric *interconnect.Fabric, node wire.NodeID) *cor
 
 type muxHarness struct {
 	reg *nameservice.TopicRegistry
-	dir topic.EdgeDirectory
+	dir topic.Directory
 	gwD *core.Domain
 	pbD *core.Domain
 	mux *Mux

@@ -224,7 +224,7 @@ func (e *NotOwnerError) Error() string {
 func (e *NotOwnerError) Unwrap() error { return ErrNotOwner }
 
 // Server serves a Directory (and a TopicRegistry) over FLIPC. Run its
-// Serve loop on a goroutine (or call ServeOne from a poll loop).
+// Serve loop on a goroutine.
 type Server struct {
 	dir    *Directory
 	topics *TopicRegistry
@@ -303,17 +303,6 @@ func (s *Server) Addr() wire.Addr { return s.in.Addr() }
 // Topics exposes the server's topic registry (housekeeping: the daemon
 // calls Advance on the lease cadence; diagnostics read snapshots).
 func (s *Server) Topics() *TopicRegistry { return s.topics }
-
-// ServeOne handles at most one pending request, reporting whether it
-// did any work. Never blocks.
-func (s *Server) ServeOne() bool {
-	req, _, ok := s.in.Receive()
-	if !ok {
-		return false
-	}
-	s.handle(req)
-	return true
-}
 
 // Serve blocks handling requests at the given scheduler priority until
 // the domain closes.
@@ -769,21 +758,46 @@ func (c *Client) roundtrip(req []byte, timeout time.Duration, match func([]byte)
 	return nil, ErrRemoteTimeout
 }
 
-// call performs one request/response with a deadline.
-func (c *Client) call(op byte, name string, payload wire.Addr, timeout time.Duration) (status byte, addr wire.Addr, err error) {
+// tagged sends a request whose 4-byte field carries a fresh tag and
+// returns the reply echoing it, skipping stale replies to earlier
+// timed-out calls. A deadline already passed sends nothing.
+func (c *Client) tagged(op byte, name string, tail []byte, deadline time.Time) ([]byte, error) {
 	c.tag++
-	field := uint32(payload)
-	var match func([]byte) bool
-	if op == opLookup {
-		field = c.tag
-		want := c.tag
-		match = func(resp []byte) bool { return binary.BigEndian.Uint32(resp[5:9]) == want }
-	}
-	req, err := c.buildReq(op, name, field, nil)
+	want := c.tag
+	req, err := c.buildReq(op, name, want, tail)
 	if err != nil {
-		return 0, wire.NilAddr, err
+		return nil, err
 	}
-	resp, err := c.roundtrip(req, timeout, match)
+	remain := time.Until(deadline)
+	if remain <= 0 {
+		return nil, ErrRemoteTimeout
+	}
+	return c.roundtrip(req, remain, func(resp []byte) bool {
+		return binary.BigEndian.Uint32(resp[5:9]) == want
+	})
+}
+
+// page fetches the page at offset of a paged listing (op carries the
+// offset as its tail), bounded by what remains of the listing's
+// overall deadline.
+func (c *Client) page(op byte, name string, offset int, deadline time.Time) ([]byte, error) {
+	var tail [4]byte
+	binary.BigEndian.PutUint32(tail[:], uint32(offset))
+	return c.tagged(op, name, tail[:], deadline)
+}
+
+// call performs one request/response with a deadline. Lookups are
+// tagged; the other name ops carry their payload address in the field.
+func (c *Client) call(op byte, name string, payload wire.Addr, timeout time.Duration) (status byte, addr wire.Addr, err error) {
+	var resp []byte
+	if op == opLookup {
+		resp, err = c.tagged(op, name, nil, time.Now().Add(timeout))
+	} else {
+		var req []byte
+		if req, err = c.buildReq(op, name, uint32(payload), nil); err == nil {
+			resp, err = c.roundtrip(req, timeout, nil)
+		}
+	}
 	if err != nil {
 		return 0, wire.NilAddr, err
 	}
@@ -873,19 +887,11 @@ func (c *Client) AckCursor(topic, sub string, seq uint64, timeout time.Duration)
 	if len(sub) == 0 || len(sub) > 255 {
 		return fmt.Errorf("nameservice: bad cursor subscriber name length %d", len(sub))
 	}
-	c.tag++
-	want := c.tag
 	tail := make([]byte, 9+len(sub))
 	binary.BigEndian.PutUint64(tail[0:8], seq)
 	tail[8] = byte(len(sub))
 	copy(tail[9:], sub)
-	req, err := c.buildReq(opCursorAck, topic, want, tail)
-	if err != nil {
-		return err
-	}
-	resp, err := c.roundtrip(req, timeout, func(resp []byte) bool {
-		return binary.BigEndian.Uint32(resp[5:9]) == want
-	})
+	resp, err := c.tagged(opCursorAck, topic, tail, time.Now().Add(timeout))
 	if err != nil {
 		return err
 	}
@@ -919,21 +925,7 @@ func (c *Client) TopicSnapshot(topic string, timeout time.Duration) (TopicSnapsh
 	snap := TopicSnapshot{Name: topic}
 	deadline := time.Now().Add(timeout)
 	for offset := 0; ; {
-		c.tag++
-		want := c.tag
-		var tail [4]byte
-		binary.BigEndian.PutUint32(tail[:], uint32(offset))
-		req, err := c.buildReq(opTopicSnap, topic, want, tail[:])
-		if err != nil {
-			return snap, err
-		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return snap, ErrRemoteTimeout
-		}
-		resp, err := c.roundtrip(req, remain, func(resp []byte) bool {
-			return binary.BigEndian.Uint32(resp[5:9]) == want
-		})
+		resp, err := c.page(opTopicSnap, topic, offset, deadline)
 		if err != nil {
 			return snap, err
 		}
@@ -1049,15 +1041,7 @@ func (c *Client) UpsertPresence(key, gw string, addr wire.Addr, timeout time.Dur
 // DropPresence removes client key's presence lease (op 14). Idempotent;
 // shard-routed like UpsertPresence.
 func (c *Client) DropPresence(key string, timeout time.Duration) error {
-	c.tag++
-	want := c.tag
-	req, err := c.buildReq(opPresenceDrop, key, want, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.roundtrip(req, timeout, func(resp []byte) bool {
-		return binary.BigEndian.Uint32(resp[5:9]) == want
-	})
+	resp, err := c.tagged(opPresenceDrop, key, nil, time.Now().Add(timeout))
 	if err != nil {
 		return err
 	}
@@ -1069,15 +1053,7 @@ func (c *Client) DropPresence(key string, timeout time.Duration) error {
 // it to detect a failed-over registry (the generation moved) and to
 // pick the primary among candidate registry endpoints.
 func (c *Client) RegistryInfo(timeout time.Duration) (RegistryInfo, error) {
-	c.tag++
-	want := c.tag
-	req, err := c.buildReq(opRegistryInfo, "", want, nil)
-	if err != nil {
-		return RegistryInfo{}, err
-	}
-	resp, err := c.roundtrip(req, timeout, func(resp []byte) bool {
-		return binary.BigEndian.Uint32(resp[5:9]) == want
-	})
+	resp, err := c.tagged(opRegistryInfo, "", nil, time.Now().Add(timeout))
 	if err != nil {
 		return RegistryInfo{}, err
 	}
@@ -1099,21 +1075,7 @@ func (c *Client) TopicList(timeout time.Duration) ([]string, error) {
 	var names []string
 	deadline := time.Now().Add(timeout)
 	for offset := 0; ; {
-		c.tag++
-		want := c.tag
-		var tail [4]byte
-		binary.BigEndian.PutUint32(tail[:], uint32(offset))
-		req, err := c.buildReq(opTopicList, "", want, tail[:])
-		if err != nil {
-			return names, err
-		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return names, ErrRemoteTimeout
-		}
-		resp, err := c.roundtrip(req, remain, func(resp []byte) bool {
-			return binary.BigEndian.Uint32(resp[5:9]) == want
-		})
+		resp, err := c.page(opTopicList, "", offset, deadline)
 		if err != nil {
 			return names, err
 		}
@@ -1158,21 +1120,7 @@ func (c *Client) ShardMap(timeout time.Duration) (*shardmap.Map, uint32, error) 
 	)
 	deadline := time.Now().Add(timeout)
 	for offset := 0; ; {
-		c.tag++
-		want := c.tag
-		var tail [4]byte
-		binary.BigEndian.PutUint32(tail[:], uint32(offset))
-		req, err := c.buildReq(opShardMap, "", want, tail[:])
-		if err != nil {
-			return nil, 0, err
-		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return nil, 0, ErrRemoteTimeout
-		}
-		resp, err := c.roundtrip(req, remain, func(resp []byte) bool {
-			return binary.BigEndian.Uint32(resp[5:9]) == want
-		})
+		resp, err := c.page(opShardMap, "", offset, deadline)
 		if err != nil {
 			return nil, 0, err
 		}

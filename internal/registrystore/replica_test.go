@@ -7,6 +7,7 @@ import (
 	"flipc/internal/core"
 	"flipc/internal/interconnect"
 	"flipc/internal/nameservice"
+	"flipc/internal/shardmap"
 	"flipc/internal/topic"
 	"flipc/internal/wire"
 )
@@ -188,8 +189,9 @@ func TestRegistryFailoverSoak(t *testing.T) {
 	}
 
 	// Workload: subscribers and a publisher on "data", resolving through
-	// a failover directory so the registry can be retargeted live.
-	fdir := topic.NewFailoverDirectory(dirA)
+	// a one-shard directory so the registry can be retargeted live.
+	fdir := topic.NewShardedDirectory(shardmap.Restore(0, []shardmap.Entry{{ID: 0}}))
+	fdir.SetShard(0, dirA)
 	var subs []*topic.Subscriber
 	for i := 0; i < 3; i++ {
 		s, err := topic.NewSubscriber(workD, fdir, "data", topic.Normal, 64, 64)
@@ -268,9 +270,9 @@ func TestRegistryFailoverSoak(t *testing.T) {
 	if genB <= genA {
 		t.Fatalf("standby fenced at %d, not above primary %d", genB, genA)
 	}
-	fdir.Retarget(topic.LocalDirectory{R: regB})
-	if fdir.Epoch() != 1 {
-		t.Fatalf("retarget epoch = %d", fdir.Epoch())
+	fdir.SetShard(0, topic.LocalDirectory{R: regB})
+	if fdir.Epoch(0) != 1 {
+		t.Fatalf("retarget epoch = %d", fdir.Epoch(0))
 	}
 
 	// Zero subscriptions lost: every (topic, subscriber) the primary

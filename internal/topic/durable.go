@@ -512,20 +512,6 @@ func (p *Publisher) ReplayStranded() uint64 {
 	return p.replayStranded
 }
 
-// CatchingUp returns how many subscribers are mid-replay (resumed,
-// not yet handed off to the live stream).
-func (p *Publisher) CatchingUp() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, sr := range p.replay {
-		if !sr.done {
-			n++
-		}
-	}
-	return n
-}
-
 // ---------------------------------------------------------------------
 // Subscriber half: the seam.
 
@@ -539,10 +525,10 @@ type subDurState struct {
 	out  *msglib.Outbox
 	pubs map[core.Addr]struct{}
 
-	locked     atomic.Bool   // seam established; next is meaningful
-	next       atomic.Uint64 // next sequence the application gets
-	gapPending bool          // a resume for a detected gap is in flight
-	needResume bool          // a resume must be (re)sent (start, rebind)
+	locked     atomic.Bool             // seam established; next is meaningful
+	next       atomic.Uint64           // next sequence the application gets
+	gapPending bool                    // a resume for a detected gap is in flight
+	needResume bool                    // a resume must be (re)sent (start, rebind)
 	stash      map[uint64]stashedFrame // ahead-of-seam frames held for the hole
 
 	acked     atomic.Uint64 // last sequence acknowledged in-band
@@ -787,15 +773,6 @@ func (s *Subscriber) renewDurable() {
 			}
 		}
 	}
-}
-
-// DurableName returns the subscriber's stable cursor identity ("" for
-// a non-durable subscriber).
-func (s *Subscriber) DurableName() string {
-	if s.dur == nil {
-		return ""
-	}
-	return s.dur.name
 }
 
 // DurableLocked reports whether the exactly-once seam is established

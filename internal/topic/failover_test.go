@@ -10,6 +10,7 @@ import (
 	"flipc/internal/interconnect"
 	"flipc/internal/mem"
 	"flipc/internal/nameservice"
+	"flipc/internal/shardmap"
 	"flipc/internal/wire"
 )
 
@@ -53,12 +54,13 @@ func TestPublisherEvictRemovesFromPlan(t *testing.T) {
 	}
 }
 
-func TestFailoverDirectoryRetarget(t *testing.T) {
+func TestOneShardDirectoryRetarget(t *testing.T) {
 	fabric := interconnect.NewFabric(1024)
 	d := newDomain(t, fabric, 0)
 	regA := nameservice.NewTopicRegistry()
 	regB := nameservice.NewTopicRegistry()
-	fdir := NewFailoverDirectory(LocalDirectory{R: regA})
+	fdir := NewShardedDirectory(shardmap.Restore(0, []shardmap.Entry{{ID: 0}}))
+	fdir.SetShard(0, LocalDirectory{R: regA})
 
 	sub, err := NewSubscriber(d, fdir, "t", Control, 32, 32)
 	if err != nil {
@@ -67,13 +69,13 @@ func TestFailoverDirectoryRetarget(t *testing.T) {
 	if snap, _ := regA.Snapshot("t"); len(snap.Subs) != 1 {
 		t.Fatalf("subscription not in old registry: %+v", snap)
 	}
-	if fdir.Epoch() != 0 {
-		t.Fatalf("epoch before retarget = %d", fdir.Epoch())
+	if fdir.Epoch(0) != 0 {
+		t.Fatalf("epoch before retarget = %d", fdir.Epoch(0))
 	}
 
-	fdir.Retarget(LocalDirectory{R: regB})
-	if fdir.Epoch() != 1 {
-		t.Fatalf("epoch after retarget = %d", fdir.Epoch())
+	fdir.SetShard(0, LocalDirectory{R: regB})
+	if fdir.Epoch(0) != 1 {
+		t.Fatalf("epoch after retarget = %d", fdir.Epoch(0))
 	}
 	// The subscriber keeps its directory handle: the next renew lands in
 	// the new registry without the subscriber knowing anything moved.

@@ -89,23 +89,42 @@ func TestSubscriberCtlDropSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Saturate the two posted buffers, then drive app frames into the
-	// full endpoint until some are visibly dropped.
+	// Every accepted send lands on the endpoint: the first two fill its
+	// posted buffers (nobody receives) and every later one is dropped.
+	// Waiting for exactly that count, not a lower bound, keeps app frames
+	// still queued in the outbox from satisfying a wait meant for the
+	// control frames.
+	const posted = 2
+	var sent uint64
 	deadline := time.Now().Add(5 * time.Second)
+	settle := func() {
+		t.Helper()
+		for sub.Drops() != sent-posted {
+			if time.Now().After(deadline) {
+				t.Fatalf("drops = %d, want %d (%d sends accepted)", sub.Drops(), sent-posted, sent)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	// Saturate the posted buffers, then drive app frames into the full
+	// endpoint until some are visibly dropped.
 	for sub.Drops() < 3 {
 		if time.Now().After(deadline) {
 			t.Fatal("app drops never materialized")
 		}
 		if err := out.Send(sub.Addr(), []byte("app")); err != nil {
 			time.Sleep(time.Millisecond)
+			continue
 		}
+		sent++
 	}
+	settle()
 	if got := sub.CtlDrops(); got != 0 {
 		t.Fatalf("CtlDrops = %d before any control traffic", got)
 	}
-	appDrops := sub.Drops()
-	if sub.AppDrops() != appDrops {
-		t.Fatalf("AppDrops = %d, want %d", sub.AppDrops(), appDrops)
+	if sub.AppDrops() != sub.Drops() {
+		t.Fatalf("AppDrops = %d, want %d", sub.AppDrops(), sub.Drops())
 	}
 
 	// Now land control frames on the still-full endpoint.
@@ -120,16 +139,11 @@ func TestSubscriberCtlDropSplit(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
+		sent++
 	}
-	for sub.Drops() < appDrops+ctlSends {
-		if time.Now().After(deadline) {
-			t.Fatalf("drops = %d, want >= %d", sub.Drops(), appDrops+ctlSends)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	settle()
 
-	// More app frames may have been in flight when we sampled, but the
-	// split must account every control discard and the sum must hold.
+	// The split must account every control discard and the sum must hold.
 	if got := sub.CtlDrops(); got != ctlSends {
 		t.Fatalf("CtlDrops = %d, want %d", got, ctlSends)
 	}

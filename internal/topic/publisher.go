@@ -113,14 +113,14 @@ type Publisher struct {
 
 	// Durable plane (cfg.Log set; see durable.go).
 	log            *duralog.Log
-	replayOut      *msglib.Outbox          // Bulk-priority replay channel
-	replay         map[string]*subReplay   // replay state by subscriber name
+	replayOut      *msglib.Outbox           // Bulk-priority replay channel
+	replay         map[string]*subReplay    // replay state by subscriber name
 	catchup        map[core.Addr]*subReplay // live-fanout suppression index
-	durHello       map[core.Addr]bool      // hello handshake tracking (durable without credit)
-	deferred       uint64                  // live sends suppressed during catch-up
-	replayed       uint64                  // replay frames sent
-	replayStranded uint64                  // frames lost to the retention horizon
-	seqScratch     []byte                  // seq-prefix staging buffer
+	durHello       map[core.Addr]bool       // hello handshake tracking (durable without credit)
+	deferred       uint64                   // live sends suppressed during catch-up
+	replayed       uint64                   // replay frames sent
+	replayStranded uint64                   // frames lost to the retention horizon
+	seqScratch     []byte                   // seq-prefix staging buffer
 
 	// nowNanos is the fanout-latency clock (replaceable in tests).
 	nowNanos func() int64

@@ -67,7 +67,7 @@ func TestShardedDirectoryPartitions(t *testing.T) {
 }
 
 // TestShardedDirectoryRetargetIsolation: retargeting one shard bumps
-// that shard's failover epoch only, and subsequent ops on its topics
+// that shard's retarget epoch only, and subsequent ops on its topics
 // hit the new target while other shards keep their original ones.
 func TestShardedDirectoryRetargetIsolation(t *testing.T) {
 	sd, regs, owned := shardedFixture(t)
@@ -75,21 +75,20 @@ func TestShardedDirectoryRetargetIsolation(t *testing.T) {
 
 	before := map[uint32]uint64{}
 	for id := uint32(0); id < 3; id++ {
-		before[id] = sd.Shard(id).Epoch()
+		before[id] = sd.Epoch(id)
+		if before[id] != 0 {
+			t.Fatalf("shard %d epoch %d after install, want 0: installing is not a retarget", id, before[id])
+		}
 	}
 	// Shard 1 fails over to a fresh registry (the promoted standby).
 	promoted := nameservice.NewTopicRegistry()
-	h1 := sd.Shard(1)
 	sd.SetShard(1, LocalDirectory{R: promoted})
-	if sd.Shard(1) != h1 {
-		t.Fatal("retarget replaced the FailoverDirectory handle")
-	}
 	for id := uint32(0); id < 3; id++ {
 		want := before[id]
 		if id == 1 {
 			want++
 		}
-		if got := sd.Shard(id).Epoch(); got != want {
+		if got := sd.Epoch(id); got != want {
 			t.Fatalf("shard %d epoch %d after shard-1 retarget, want %d", id, got, want)
 		}
 	}

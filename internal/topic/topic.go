@@ -148,9 +148,15 @@ func ClassFromFlags(flags uint8) Class {
 // Directory is the membership view publishers read and subscribers
 // register through. Implementations: LocalDirectory over an in-process
 // nameservice.TopicRegistry, RemoteDirectory over the in-band
-// nameservice client. Snapshot of a topic nobody has declared returns
-// an empty membership, not an error — publishing into the void is a
-// cheap no-op, matching the optimistic protocol.
+// nameservice client, and ShardedDirectory routing each op to the
+// registry shard that owns it (and retargeting a shard on failover).
+// Snapshot of a topic nobody has declared returns an empty membership,
+// not an error — publishing into the void is a cheap no-op, matching
+// the optimistic protocol.
+//
+// The last four ops are the edge plane's membership: wildcard pattern
+// subscriptions and client presence leases (see internal/nameservice's
+// pattern grammar and lease discipline).
 type Directory interface {
 	Subscribe(topic string, addr core.Addr, class Class) error
 	Unsubscribe(topic string, addr core.Addr) error
@@ -160,16 +166,6 @@ type Directory interface {
 	// survives registry failover alongside the membership. Max-merged:
 	// a stale acknowledgment never regresses the stored cursor.
 	AckCursor(topic, sub string, seq uint64) error
-}
-
-// EdgeDirectory extends Directory with the edge plane's membership
-// ops: wildcard pattern subscriptions and client presence leases (see
-// internal/nameservice's pattern grammar and lease discipline). Every
-// Directory implementation in this package also implements
-// EdgeDirectory; the split interface exists so code that only fans out
-// keeps the narrower dependency.
-type EdgeDirectory interface {
-	Directory
 	// SubscribePattern adds (or renews) addr's subscription to every
 	// topic matching pat. Pattern subscribers receive enveloped frames
 	// (see envelope.go) and must not also subscribe exactly.
@@ -214,23 +210,23 @@ func (l LocalDirectory) AckCursor(topic, sub string, seq uint64) error {
 	return l.R.AckCursor(topic, sub, seq)
 }
 
-// SubscribePattern implements EdgeDirectory.
+// SubscribePattern implements Directory.
 func (l LocalDirectory) SubscribePattern(pat string, addr core.Addr) error {
 	return l.R.SubscribePattern(pat, addr)
 }
 
-// UnsubscribePattern implements EdgeDirectory.
+// UnsubscribePattern implements Directory.
 func (l LocalDirectory) UnsubscribePattern(pat string, addr core.Addr) error {
 	l.R.UnsubscribePattern(pat, addr)
 	return nil
 }
 
-// UpsertPresence implements EdgeDirectory.
+// UpsertPresence implements Directory.
 func (l LocalDirectory) UpsertPresence(key, gw string, addr core.Addr) error {
 	return l.R.UpsertPresence(key, gw, addr)
 }
 
-// DropPresence implements EdgeDirectory.
+// DropPresence implements Directory.
 func (l LocalDirectory) DropPresence(key string) error {
 	l.R.DropPresence(key)
 	return nil
@@ -275,22 +271,22 @@ func (r RemoteDirectory) AckCursor(topic, sub string, seq uint64) error {
 	return r.C.AckCursor(topic, sub, seq, r.timeout())
 }
 
-// SubscribePattern implements EdgeDirectory.
+// SubscribePattern implements Directory.
 func (r RemoteDirectory) SubscribePattern(pat string, addr core.Addr) error {
 	return r.C.SubscribePattern(pat, addr, r.timeout())
 }
 
-// UnsubscribePattern implements EdgeDirectory.
+// UnsubscribePattern implements Directory.
 func (r RemoteDirectory) UnsubscribePattern(pat string, addr core.Addr) error {
 	return r.C.UnsubscribePattern(pat, addr, r.timeout())
 }
 
-// UpsertPresence implements EdgeDirectory.
+// UpsertPresence implements Directory.
 func (r RemoteDirectory) UpsertPresence(key, gw string, addr core.Addr) error {
 	return r.C.UpsertPresence(key, gw, addr, r.timeout())
 }
 
-// DropPresence implements EdgeDirectory.
+// DropPresence implements Directory.
 func (r RemoteDirectory) DropPresence(key string) error {
 	return r.C.DropPresence(key, r.timeout())
 }

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"strconv"
 )
 
 // NodeID identifies a node in the cluster.
@@ -79,6 +80,25 @@ func (a Addr) String() string {
 		return "addr(nil)"
 	}
 	return fmt.Sprintf("addr(n%d:e%d:g%d)", a.Node(), a.Index(), a.Gen())
+}
+
+// ParseAddr parses an endpoint address in the hex form the daemons
+// print (with or without a 0x/0X prefix). An address that does not
+// parse, or parses to an invalid (generation-0) address, is an error.
+func ParseAddr(s string) (Addr, error) {
+	hex := s
+	if len(hex) > 2 && (hex[:2] == "0x" || hex[:2] == "0X") {
+		hex = hex[2:]
+	}
+	v, err := strconv.ParseUint(hex, 16, 32)
+	if err != nil {
+		return NilAddr, fmt.Errorf("wire: bad endpoint address %q: %w", s, err)
+	}
+	a := Addr(v)
+	if !a.Valid() {
+		return NilAddr, fmt.Errorf("wire: invalid endpoint address %q", s)
+	}
+	return a, nil
 }
 
 // Message size constraints (Paragon DMA requirements, kept verbatim).

@@ -58,6 +58,22 @@ func TestNilAddr(t *testing.T) {
 	}
 }
 
+func TestParseAddr(t *testing.T) {
+	a := mustAddr(t, 3, 17, 9)
+	for _, s := range []string{"c04409", "0xc04409", "0Xc04409", "0XC04409"} {
+		got, err := ParseAddr(s)
+		if err != nil || got != a {
+			t.Fatalf("ParseAddr(%q) = %v, %v; want %v", s, got, err, a)
+		}
+	}
+	// Unparseable, out of the 32-bit range, or generation 0.
+	for _, s := range []string{"", "0x", "xyz", "0x100000000", "-1", "0", "0xc04400"} {
+		if got, err := ParseAddr(s); err == nil {
+			t.Fatalf("ParseAddr(%q) = %v, want an error", s, got)
+		}
+	}
+}
+
 func TestQuickAddrRoundTrip(t *testing.T) {
 	prop := func(node, idx, gen uint16) bool {
 		n := NodeID(node % MaxNodes)
